@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numkit import read_exact
+
 
 @dataclass
 class GaussianMixtureSpec:
@@ -370,17 +372,17 @@ def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a dataset file")
-        version, n, d, C, flags = struct.unpack("<IQQQI", fh.read(32))
+        version, n, d, C, flags = struct.unpack("<IQQQI", read_exact(fh, 32, path))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-        feats = np.frombuffer(fh.read(8 * n * d), dtype="<f8").reshape(n, d).copy()
-        obs = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
-        clean = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
+        feats = np.frombuffer(read_exact(fh, 8 * n * d, path), dtype="<f8").reshape(n, d).copy()
+        obs = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
+        clean = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
         mixture = None
         if flags & _FLAG_MIXTURE:
-            means = np.frombuffer(fh.read(8 * C * d), dtype="<f8").reshape(C, d).copy()
-            (sigma,) = struct.unpack("<d", fh.read(8))
-            priors = np.frombuffer(fh.read(8 * C), dtype="<f8").copy()
+            means = np.frombuffer(read_exact(fh, 8 * C * d, path), dtype="<f8").reshape(C, d).copy()
+            (sigma,) = struct.unpack("<d", read_exact(fh, 8, path))
+            priors = np.frombuffer(read_exact(fh, 8 * C, path), dtype="<f8").copy()
             mixture = GaussianMixtureSpec(means, sigma, priors)
     return Dataset(feats, obs, clean, int(C), mixture)
 

@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, ZeroDivisionError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as e:
+    except (OSError, EOFError) as e:  # EOFError: truncated artifact file
         print(f"I/O failure: {e}", file=sys.stderr)
         return EXIT_IO
 

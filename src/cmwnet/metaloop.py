@@ -4,9 +4,12 @@ One iteration: a virtual SGD step of the classifier whose per-sample
 weights come from the weighting net, a closed-form hypergradient of the
 meta loss through that step (the one-step update is linear in the weights,
 so no tape is needed), a weighting-net update, then the real classifier
-step with the refreshed weights. Also houses the soft-label variant with
-EMA weights / temporal ensembling / mixup, the per-epoch meta-set builder,
-and the transfer (frozen weight net) trainer.
+step with the refreshed weights. Step and hypergradient use the per-layer
+factors of one batched forward and backward pass (layer inputs a_j and
+deltas d_j, sample j's gradient being outer(a_j, d_j)), never per-sample
+gradient matrices. The soft-label variant (EMA weights, temporal
+ensembling, mixup) shares that step path. Also houses the per-epoch
+meta-set builder and the transfer (frozen weight net) trainer.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 
 from .biasgen import Dataset
 from .models import Classifier, WeightNet
-from .numkit import Adam, SgdMomentum, flatten, unflatten_like
+from .numkit import (Adam, SgdMomentum, flatten, softmax, softmax_xent,
+                     spawn_rngs, unflatten_like)
 from .taskfam import FamilyIndex, kmeans_1d
 
 
@@ -81,24 +85,69 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int = 10,
 
 
 # ---------------------------------------------------------------------------
-# virtual step and hypergradient (plain variant)
+# weighted step and hypergradient, shared by every variant
+
+
+@dataclass
+class StepFactors:
+    """The Theta-free parts of a weighted classifier step at fixed w.
+
+    Row j adds w_j * outer(acts[l][j], deltas[l][j]) to layer l's weight
+    gradient and w_j * deltas[l][j] to its bias gradient; w_j is the weight
+    of (losses[j], fams[j]), over the batch sum if `normalize` (and that sum
+    is nonzero). `fixed` is the unweighted rest, or None.
+    """
+    acts: list[np.ndarray]
+    deltas: list[np.ndarray]
+    losses: np.ndarray
+    fams: np.ndarray
+    normalize: bool
+    fixed: list[np.ndarray] | None = None
 
 
 @dataclass
 class VirtualStepCache:
-    g: np.ndarray            # (n, P) per-sample train grads at w^(t)
-    v: np.ndarray            # (n,) raw head weights
-    dv: np.ndarray           # (n, PTheta) d v_j / d Theta
+    factors: StepFactors
+    v: np.ndarray            # (r,) raw head weights
+    dv: np.ndarray           # (r, PTheta) d v_j / d Theta
     alpha: float
-    normalize: bool
     theta_flat: np.ndarray   # Theta snapshot, staleness guard
 
 
-def _effective_weights(v: np.ndarray, normalize: bool) -> np.ndarray:
-    if normalize:
-        s = v.sum()
-        if s != 0.0:
-            return v / s
+def _step_grads(f: StepFactors, v: np.ndarray) -> list[np.ndarray]:
+    """The step under raw weights v, aligned with Classifier.params."""
+    s = v.sum()
+    w = v / s if f.normalize and s != 0.0 else v
+    grads = ([a.T @ (w[:, None] * d) for a, d in zip(f.acts, f.deltas)]
+             + [w @ d for d in f.deltas])
+    if f.fixed is not None:
+        grads = [g + c for g, c in zip(grads, f.fixed)]
+    return grads
+
+
+def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float,
+             weight_override: np.ndarray | None = None):
+    v, dv = wnet.weight_and_grad(f.losses, f.fams)
+    if weight_override is not None:
+        v = np.broadcast_to(weight_override, v.shape).astype(np.float64)
+        dv = np.zeros_like(dv)
+    step = flatten(_step_grads(f, v))
+    if not np.all(np.isfinite(step)):
+        raise FloatingPointError("non-finite gradient in virtual step")
+    clf_hat = clf.copy()
+    clf_hat.set_flat(clf_hat.get_flat() - alpha * step)
+    return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet.get_flat())
+
+
+def _real_step(clf: Classifier, optimizer, wnet: WeightNet, f: StepFactors,
+               alpha: float) -> np.ndarray:
+    """Optimizer step with the weights at the current Theta; returns them."""
+    v = wnet.weight(f.losses, f.fams)
+    grads = _step_grads(f, v)
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        raise FloatingPointError("non-finite gradient in classifier update")
+    optimizer.lr = alpha
+    optimizer.step(clf.params, grads)
     return v
 
 
@@ -112,50 +161,35 @@ def virtual_step(clf: Classifier, wnet: WeightNet, x: np.ndarray,
     """
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    losses, g = clf.per_sample_grads(x, targets)
-    v, dv = wnet.weight_and_grad(losses, fams)
-    vtil = _effective_weights(v, normalize)
-    step = g.T @ vtil
-    if not np.all(np.isfinite(step)):
-        raise FloatingPointError("non-finite gradient in virtual step")
-    clf_hat = clf.copy()
-    clf_hat.set_flat(clf_hat.get_flat() - alpha * step)
-    cache = VirtualStepCache(g=g, v=v, dv=dv, alpha=alpha, normalize=normalize,
-                             theta_flat=wnet.get_flat())
-    return clf_hat, cache
+    losses, acts, deltas = clf.factors(x, targets)
+    f = StepFactors(acts, deltas, losses, fams, normalize)
+    return _virtual(clf, wnet, f, alpha)
 
 
-def hypergrad(cache, clf_hat: Classifier, meta_x: np.ndarray,
-              meta_targets: np.ndarray, wnet: WeightNet | None = None):
+def hypergrad(cache: VirtualStepCache, clf_hat: Classifier,
+              meta_x: np.ndarray, meta_targets: np.ndarray,
+              wnet: WeightNet | None = None):
     """Analytic gradient of the meta loss w.r.t. Theta through the one-step
     update, as a flat vector, plus the meta loss value at w_hat.
 
-    Each training sample contributes the alignment between its gradient and
+    Each weighted row contributes the alignment between its gradient and
     the meta batch's mean gradient at w_hat, times the weight's Theta
     sensitivity (quotient rule in normalized mode).
     """
     if wnet is not None and not np.array_equal(wnet.get_flat(), cache.theta_flat):
         raise RuntimeError("stale cache: Theta changed since the virtual step")
-    meta_losses, g_meta = clf_hat.per_sample_grads(meta_x, meta_targets)
-    gbar = g_meta.mean(axis=0)
-    if isinstance(cache, SLStepCache):
-        cA = (cache.gA - cache.gAz) @ gbar
-        cB = (cache.gB - cache.gBz) @ gbar
-        grad = cache.lam * (cA @ cache.dvA) + (1.0 - cache.lam) * (cB @ cache.dvB)
-        grad *= -cache.alpha
-        return grad, float(meta_losses.mean())
-    c = cache.g @ gbar
-    if cache.normalize:
-        s = cache.v.sum()
-        if s != 0.0:
-            dv_sum = cache.dv.sum(axis=0)
-            grad = (c @ cache.dv) / s - ((c * cache.v).sum() / s ** 2) * dv_sum
-        else:
-            grad = c @ cache.dv
-    else:
-        grad = c @ cache.dv
+    meta_loss, gbar = clf_hat.mean_grad(meta_x, meta_targets)
+    f = cache.factors
+    n_layers = len(f.acts)
+    c = sum(((a @ gw) * d).sum(axis=1) + d @ gb
+            for a, d, gw, gb in zip(f.acts, f.deltas, gbar[:n_layers],
+                                    gbar[n_layers:]))
+    grad = c @ cache.dv
+    s = cache.v.sum()
+    if f.normalize and s != 0.0:
+        grad = grad / s - ((c * cache.v).sum() / s ** 2) * cache.dv.sum(axis=0)
     grad *= -cache.alpha
-    return grad, float(meta_losses.mean())
+    return grad, float(meta_loss)
 
 
 def meta_update(wnet: WeightNet, optimizer, grad_flat: np.ndarray) -> None:
@@ -176,53 +210,22 @@ def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
     Returns the raw per-sample weights (for logging). With momentum 0 the
     result coincides with the virtual step at the same Theta.
     """
-    losses, g = clf.per_sample_grads(x, targets)
-    v, _ = wnet.weight_and_grad(losses, fams)
-    vtil = _effective_weights(v, normalize)
-    step = g.T @ vtil
-    if not np.all(np.isfinite(step)):
-        raise FloatingPointError("non-finite gradient in classifier update")
-    params = clf.params
-    optimizer.lr = alpha
-    optimizer.step(params, unflatten_like(step, params))
-    n_layers = len(clf.weights)
-    clf.weights = params[:n_layers]
-    clf.biases = params[n_layers:]
-    return v
+    losses, acts, deltas = clf.factors(x, targets)
+    f = StepFactors(acts, deltas, losses, fams, normalize)
+    return _real_step(clf, optimizer, wnet, f, alpha)
 
 
 def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
                alpha: float) -> float:
     """Plain mean-CE SGD step; returns the batch mean loss."""
     loss, grads = clf.mean_grad(x, targets)
-    params = clf.params
     optimizer.lr = alpha
-    optimizer.step(params, grads)
-    n_layers = len(clf.weights)
-    clf.weights = params[:n_layers]
-    clf.biases = params[n_layers:]
+    optimizer.step(clf.params, grads)
     return loss
 
 
 # ---------------------------------------------------------------------------
 # soft-label (pseudo-label) variant
-
-
-@dataclass
-class SLStepCache:
-    gA: np.ndarray           # grads of CE(f(x_mix), y)
-    gAz: np.ndarray          # grads of CE(f(x_mix), z)
-    gB: np.ndarray           # permuted-label counterparts
-    gBz: np.ndarray
-    vA: np.ndarray
-    dvA: np.ndarray
-    vB: np.ndarray
-    dvB: np.ndarray
-    lam: float
-    alpha: float
-    theta_flat: np.ndarray
-    loss_a: np.ndarray = None
-    loss_b: np.ndarray = None
 
 
 def ema_update(w_wa: Classifier, clf: Classifier, beta_wa: float) -> None:
@@ -248,6 +251,35 @@ def temporal_ensemble(z_rows: np.ndarray, p_rows: np.ndarray,
     return z / s
 
 
+def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
+                z_a: np.ndarray, y_b: np.ndarray, z_b: np.ndarray,
+                fams_a: np.ndarray, fams_b: np.ndarray,
+                lam: float) -> StepFactors:
+    """Soft-label step factors from one forward pass on the mixup batch.
+
+    Per sample the step's logit gradient is
+      lam (p - z_a + vA (z_a - y_a)) + (1-lam) (p - z_b + vB (z_b - y_b)).
+    The backward pass is linear in it, so the rows scaled by vA and vB
+    (2n of them, one per mixup partner) carry lam (z_a - y_a) and
+    (1-lam) (z_b - y_b), and the remainder is the fixed part.
+    """
+    acts, pre = clf.forward_cached(x_mix)
+    logits = acts[-1]
+    loss_a, _ = softmax_xent(logits, y_a)
+    loss_b, _ = softmax_xent(logits, y_b)
+    p = softmax(logits)
+    fixed_deltas = clf.backward(pre, lam * (p - z_a) + (1.0 - lam) * (p - z_b))
+    fixed = ([a.T @ d for a, d in zip(acts, fixed_deltas)]
+             + [d.sum(axis=0) for d in fixed_deltas])
+    C = logits.shape[1]
+    rows = np.concatenate([lam * (z_a - _onehot(y_a, C)),
+                           (1.0 - lam) * (z_b - _onehot(y_b, C))])
+    deltas = clf.backward([np.concatenate([z, z]) for z in pre], rows)
+    return StepFactors([np.concatenate([a, a]) for a in acts[:-1]], deltas,
+                       np.concatenate([loss_a, loss_b]),
+                       np.concatenate([fams_a, fams_b]), False, fixed)
+
+
 def sl_virtual_step(clf: Classifier, wnet: WeightNet, x_mix: np.ndarray,
                     y_a: np.ndarray, z_a: np.ndarray, y_b: np.ndarray,
                     z_b: np.ndarray, fams_a: np.ndarray, fams_b: np.ndarray,
@@ -262,48 +294,8 @@ def sl_virtual_step(clf: Classifier, wnet: WeightNet, x_mix: np.ndarray,
     evaluated at the mixed input. weight_override pins all weights to a
     constant (test hook).
     """
-    loss_a, gA = clf.per_sample_grads(x_mix, y_a)
-    _, gAz = clf.per_sample_grads(x_mix, z_a)
-    loss_b, gB = clf.per_sample_grads(x_mix, y_b)
-    _, gBz = clf.per_sample_grads(x_mix, z_b)
-    vA, dvA = wnet.weight_and_grad(loss_a, fams_a)
-    vB, dvB = wnet.weight_and_grad(loss_b, fams_b)
-    if weight_override is not None:
-        vA = np.broadcast_to(weight_override, vA.shape).astype(np.float64)
-        vB = vA
-        dvA = np.zeros_like(dvA)
-        dvB = np.zeros_like(dvB)
-    dirA = gA * vA[:, None] + gAz * (1.0 - vA)[:, None]
-    dirB = gB * vB[:, None] + gBz * (1.0 - vB)[:, None]
-    step = lam * dirA.sum(axis=0) + (1.0 - lam) * dirB.sum(axis=0)
-    if not np.all(np.isfinite(step)):
-        raise FloatingPointError("non-finite gradient in soft-label step")
-    clf_hat = clf.copy()
-    clf_hat.set_flat(clf_hat.get_flat() - alpha * step)
-    cache = SLStepCache(gA=gA, gAz=gAz, gB=gB, gBz=gBz, vA=vA, dvA=dvA,
-                        vB=vB, dvB=dvB, lam=lam, alpha=alpha,
-                        theta_flat=wnet.get_flat(), loss_a=loss_a,
-                        loss_b=loss_b)
-    return clf_hat, cache
-
-
-def sl_classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
-                         cache: SLStepCache, fams_a, fams_b,
-                         alpha: float) -> np.ndarray:
-    """Real soft-label step: weights recomputed at the current Theta, same
-    gradient pieces as the virtual step."""
-    vA, _ = wnet.weight_and_grad(cache.loss_a, fams_a)
-    vB, _ = wnet.weight_and_grad(cache.loss_b, fams_b)
-    dirA = cache.gA * vA[:, None] + cache.gAz * (1.0 - vA)[:, None]
-    dirB = cache.gB * vB[:, None] + cache.gBz * (1.0 - vB)[:, None]
-    step = cache.lam * dirA.sum(axis=0) + (1.0 - cache.lam) * dirB.sum(axis=0)
-    params = clf.params
-    optimizer.lr = alpha
-    optimizer.step(params, unflatten_like(step, params))
-    n_layers = len(clf.weights)
-    clf.weights = params[:n_layers]
-    clf.biases = params[n_layers:]
-    return vA
+    f = _sl_factors(clf, x_mix, y_a, z_a, y_b, z_b, fams_a, fams_b, lam)
+    return _virtual(clf, wnet, f, alpha, weight_override)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +392,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
 
     variant = cfg.train.variant
     rng_init_clf, rng_init_wn, rng_order, rng_meta, rng_kmeans, rng_sl = \
-        _spawn(seed, 6)
+        spawn_rngs(seed, 6)
 
     K = 1 if variant == "mwnet" else cfg.model.K
     fam = kmeans_1d(ds.class_counts(), K, restarts=10, rng=rng_kmeans)
@@ -445,10 +437,9 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
         in_warmup = variant != "erm" and epoch < cfg.train.warmup_epochs
         meta_pool = None
         if variant != "erm" and not in_warmup:
-            mode = "lowest" if epoch >= cfg.train.warmup_epochs else "random"
             pseudo = state.z if (sl and cfg.train.meta_labels == "pseudo") else None
             meta_pool = build_meta_set(ds, clf, cfg.train.meta_per_class,
-                                       cfg.train.mixup_meta, rng_meta, mode,
+                                       cfg.train.mixup_meta, rng_meta,
                                        pseudo_targets=pseudo)
         order = rng_order.permutation(n)
         for it in range(iters_per_epoch):
@@ -474,7 +465,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
                 if sl:
                     train_loss, v, meta_loss, hg_norm = _sl_iteration(
                         state, ds, idx, x, y, fams_all, mx, mt, alpha, beta,
-                        cfg, rng_sl, do_meta, normalize)
+                        cfg, rng_sl, do_meta)
                 else:
                     meta_loss = float("nan")
                     hg_norm = float("nan")
@@ -502,13 +493,8 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     return state
 
 
-def _spawn(seed: int, k: int):
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(k)]
-
-
 def _sl_iteration(state: TrainState, ds: Dataset, idx, x, y, fams_all,
-                  mx, mt, alpha, beta, cfg, rng, do_meta, normalize):
+                  mx, mt, alpha, beta, cfg, rng, do_meta):
     clf, wnet = state.clf, state.wnet
     slc = cfg.train.sl
     ema_update(state.w_wa, clf, slc["beta_wa"])
@@ -523,19 +509,18 @@ def _sl_iteration(state: TrainState, ds: Dataset, idx, x, y, fams_all,
     z_b = z_a[perm]
     fams_a = fams_all[idx]
     fams_b = fams_a[perm]
-    clf_hat, cache = sl_virtual_step(clf, wnet, x_mix, y, z_a, y_b, z_b,
-                                     fams_a, fams_b, lam, alpha)
+    f = _sl_factors(clf, x_mix, y, z_a, y_b, z_b, fams_a, fams_b, lam)
     meta_loss = float("nan")
     hg_norm = float("nan")
     if do_meta:
+        clf_hat, cache = _virtual(clf, wnet, f, alpha)
         hg, meta_loss = hypergrad(cache, clf_hat, mx, mt)
         state.theta_opt.lr = beta
         meta_update(wnet, state.theta_opt, hg)
         hg_norm = float(np.linalg.norm(hg))
-    v = sl_classifier_update(clf, state.clf_opt, wnet, cache, fams_a, fams_b,
-                             alpha)
+    v = _real_step(clf, state.clf_opt, wnet, f, alpha)
     train_loss = float(clf.losses(x_mix, y).mean())
-    return train_loss, v, meta_loss, hg_norm
+    return train_loss, v[:idx.size], meta_loss, hg_norm
 
 
 def _final_report(state: TrainState, ds: Dataset, test_ds, test_acc) -> dict:
@@ -562,7 +547,7 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
     """
     from .metrics import evaluate
 
-    rng_init_clf, rng_order, rng_kmeans = _spawn(seed, 3)
+    rng_init_clf, rng_order, rng_kmeans = spawn_rngs(seed, 3)
     fam = None
     fams_all = None
     if wnet is not None:

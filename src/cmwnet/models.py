@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .numkit import relu, relu_grad, sigmoid, softmax, softmax_xent, soft_xent
+from .numkit import read_exact, relu, relu_grad, sigmoid, softmax, xent
 
 DEFAULT_HIDDEN = 100
 DEFAULT_LOSS_CLAMP = 50.0
@@ -70,7 +70,9 @@ class Classifier:
 
     # -- forward / backward ------------------------------------------------
 
-    def _forward_cached(self, x: np.ndarray):
+    def forward_cached(self, x: np.ndarray):
+        """Forward pass keeping every layer: (acts, pre), where acts[l] is the
+        input of layer l (acts[-1] the logits) and pre[l] its pre-activation."""
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"feature dim {x.shape[1]} != {self.sizes[0]}")
         acts = [x]
@@ -86,22 +88,18 @@ class Classifier:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1."""
-        acts, _ = self._forward_cached(x)
+        acts, _ = self.forward_cached(x)
         return softmax(acts[-1])
 
     def losses(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample CE losses; targets may be int labels or soft rows."""
-        acts, _ = self._forward_cached(x)
-        logits = acts[-1]
-        if targets.ndim == 1:
-            loss, _ = softmax_xent(logits, targets)
-        else:
-            loss, _ = soft_xent(logits, targets)
+        acts, _ = self.forward_cached(x)
+        loss, _ = xent(acts[-1], targets)
         return loss
 
-    def _backward(self, acts, pre, dlogits):
-        """Batched backward; returns per-layer (dW, db) summed over the batch
-        when dlogits carries the batch scaling, and the per-layer deltas."""
+    def backward(self, pre, dlogits) -> list[np.ndarray]:
+        """Batched backward from per-row logit gradients: deltas[l][j] is
+        d(row j's loss)/d(pre[l][j]). Linear in dlogits for a fixed pre."""
         deltas = [None] * len(self.weights)
         delta = dlogits
         for li in range(len(self.weights) - 1, -1, -1):
@@ -112,38 +110,33 @@ class Classifier:
 
     def mean_grad(self, x: np.ndarray, targets: np.ndarray):
         """(mean loss, grads list aligned with self.params)."""
-        acts, pre = self._forward_cached(x)
-        logits = acts[-1]
-        n = x.shape[0]
-        if targets.ndim == 1:
-            loss, dlogits = softmax_xent(logits, targets)
-        else:
-            loss, dlogits = soft_xent(logits, targets)
-        deltas = self._backward(acts, pre, dlogits / n)
-        gw = [acts[li].T @ deltas[li] for li in range(len(self.weights))]
-        gb = [deltas[li].sum(axis=0) for li in range(len(self.weights))]
+        acts, pre = self.forward_cached(x)
+        loss, dlogits = xent(acts[-1], targets)
+        deltas = self.backward(pre, dlogits / x.shape[0])
+        gw = [a.T @ d for a, d in zip(acts, deltas)]
+        gb = [d.sum(axis=0) for d in deltas]
         return loss.mean(), gw + gb
+
+    def factors(self, x: np.ndarray, targets: np.ndarray):
+        """(per-sample losses [n], layer inputs, layer deltas) of one forward
+        and one backward pass. Sample j's gradient is
+        outer(acts[l][j], deltas[l][j]) for W_l and deltas[l][j] for b_l."""
+        acts, pre = self.forward_cached(x)
+        loss, dlogits = xent(acts[-1], targets)
+        return loss, acts[:-1], self.backward(pre, dlogits)
 
     def per_sample_grads(self, x: np.ndarray, targets: np.ndarray):
         """(per-sample losses [n], per-sample flat gradients [n x P]).
 
         Row j is the gradient of sample j's own loss w.r.t. all parameters,
-        flattened in self.params order.
+        flattened in self.params order. Training never forms this matrix;
+        the tests use it as the oracle for the factored step.
         """
-        acts, pre = self._forward_cached(x)
-        logits = acts[-1]
+        loss, acts, deltas = self.factors(x, targets)
         n = x.shape[0]
-        if targets.ndim == 1:
-            loss, dlogits = softmax_xent(logits, targets)
-        else:
-            loss, dlogits = soft_xent(logits, targets)
-        deltas = self._backward(acts, pre, dlogits)
-        parts_w, parts_b = [], []
-        for li in range(len(self.weights)):
-            gw = np.einsum("ni,nj->nij", acts[li], deltas[li]).reshape(n, -1)
-            parts_w.append(gw)
-            parts_b.append(deltas[li])
-        return loss, np.concatenate(parts_w + parts_b, axis=1)
+        parts_w = [np.einsum("ni,nj->nij", a, d).reshape(n, -1)
+                   for a, d in zip(acts, deltas)]
+        return loss, np.concatenate(parts_w + deltas, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,18 +230,18 @@ class WeightNet:
         h = relu(z1)
         z2 = np.einsum("nh,hn->n", h, self.W2[:, fam]) + self.b2[fam]
         v = sigmoid(z2)
-        # backward for the selected head only
+        # backward for the selected head only: in the W2 (H x K) and b2
+        # blocks of row j only column fam_j is nonzero
         dz2 = v * (1.0 - v)                             # (n,)
-        dW2 = np.zeros((n, H, self.K))
-        dW2[np.arange(n), :, fam] = dz2[:, None] * h
-        db2 = np.zeros((n, self.K))
-        db2[np.arange(n), fam] = dz2
         dh = dz2[:, None] * self.W2[:, fam].T           # (n, H)
         dz1 = dh * relu_grad(z1)
-        dW1 = dz1 * ell[:, None]                        # (n, H) == (n, 1*H)
-        db1 = dz1
-        dv = np.concatenate(
-            [dW1.reshape(n, -1), db1, dW2.reshape(n, -1), db2], axis=1)
+        rows = np.arange(n)
+        dv = np.zeros((n, self.n_params))
+        dv[:, :H] = dz1 * ell[:, None]                  # W1 (1 x H)
+        dv[:, H:2 * H] = dz1                            # b1
+        dv[rows[:, None], 2 * H + np.arange(H) * self.K + fam[:, None]] = \
+            dz2[:, None] * h
+        dv[rows, 2 * H + H * self.K + fam] = dz2
         return v, dv
 
     def weight(self, losses: np.ndarray, fam: np.ndarray) -> np.ndarray:
@@ -288,18 +281,18 @@ def read_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", read_exact(fh, 8, path))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         out = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode()
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim)) if ndim else ()
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
-            out[name] = data.copy()
+            (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
+            name = read_exact(fh, nlen, path).decode()
+            (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
+            shape = struct.unpack(f"<{ndim}q", read_exact(fh, 8 * ndim, path))
+            size = int(np.prod(shape))
+            data = np.frombuffer(read_exact(fh, 8 * size, path), dtype="<f8")
+            out[name] = data.reshape(shape).copy()
         return out
 
 

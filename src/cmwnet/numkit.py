@@ -1,9 +1,10 @@
 """Dense float64 numeric primitives.
 
 Activations and losses with hand-derived gradients, first-order optimizers,
-seeded RNG construction, and the central finite-difference oracle used by
-the test suite. No autodiff anywhere: every backward pass in this package
-is written out explicitly.
+seeded RNG construction, exact-length reads for the binary artifact files,
+and the central finite-difference oracle used by the test suite. No
+autodiff anywhere: every backward pass in this package is written out
+explicitly.
 """
 
 from __future__ import annotations
@@ -97,6 +98,13 @@ def soft_xent(logits: np.ndarray, targets: np.ndarray):
     return loss, grad
 
 
+def xent(logits: np.ndarray, targets: np.ndarray):
+    """softmax_xent for int labels, soft_xent for soft target rows."""
+    if targets.ndim == 1:
+        return softmax_xent(logits, targets)
+    return soft_xent(logits, targets)
+
+
 # ---------------------------------------------------------------------------
 # optimizers (operate in place on lists of parameter arrays)
 
@@ -188,7 +196,7 @@ def make_optimizer(kind: str, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# flattening helpers and the finite-difference oracle
+# flattening, exact binary reads and the finite-difference oracle
 
 
 def flatten(arrays: list[np.ndarray]) -> np.ndarray:
@@ -204,6 +212,14 @@ def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray
     if i != vec.size:
         raise ValueError(f"flat vector length {vec.size} != parameter count {i}")
     return out
+
+
+def read_exact(fh, size: int, path) -> bytes:
+    """Read exactly `size` bytes from a binary file; EOFError if it ends first."""
+    data = fh.read(size)
+    if len(data) != size:
+        raise EOFError(f"{path}: truncated file ({len(data)} of {size} bytes)")
+    return data
 
 
 def finite_diff_grad(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -105,6 +105,35 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 4
 
+    @pytest.mark.parametrize("keep", [6, 100, -1])
+    def test_truncated_checkpoint(self, tmp_path, capsys, keep):
+        cfg = write_cfg(tmp_path)
+        src = tmp_path / "src"
+        cli.main(["train", "--config", str(cfg), "--out", str(src)])
+        ckpt = src / "checkpoint.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        capsys.readouterr()
+        code = cli.main(["meta-test", "--config", str(cfg),
+                         "--out", str(tmp_path / "dst"),
+                         "--checkpoint", str(ckpt)])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "truncated" in err[0]
+
+    @pytest.mark.parametrize("keep", [20, 100, -1])
+    def test_truncated_dataset(self, tmp_path, capsys, keep):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        data = out / "train.cmwd"
+        data.write_bytes(data.read_bytes()[:keep])
+        capsys.readouterr()
+        code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--out", str(tmp_path / "c"), "--dataset", str(data)])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "truncated" in err[0]
+
     def test_mwnet_alias_requires_k1(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "mwnet"}, model={"K": 3})
         assert cli.main(["train", "--config", str(cfg),

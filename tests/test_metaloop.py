@@ -10,8 +10,8 @@ from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
 from cmwnet.config import ExperimentConfig, build_test_dataset, build_train_dataset
 from cmwnet.metaloop import (build_meta_set, classifier_update, ema_update,
                              erm_update, hypergrad, meta_test, meta_train,
-                             meta_update, sl_classifier_update, sl_virtual_step,
-                             temporal_ensemble, virtual_step)
+                             meta_update, sl_virtual_step, temporal_ensemble,
+                             virtual_step)
 from cmwnet.models import Classifier, WeightNet
 from cmwnet.numkit import Adam, SgdMomentum
 from conftest import random_batch, tiny_classifier, tiny_weightnet
@@ -77,10 +77,11 @@ class TestHypergrad:
         x, y = random_batch(rng, 4, 3, 4)
         fams = rng.integers(0, 3, size=4)
         clf_hat, cache = virtual_step(clf, wnet, x, y, fams, 0.05, False)
-        cache.g = np.zeros_like(cache.g)  # forces every alignment to zero
-        mx, my = random_batch(rng, 4, 3, 4)
-        grad, _ = hypergrad(cache, clf_hat, mx, onehot(my, 4))
-        np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-15)
+        # targets equal to w_hat's own predictions make the meta batch's mean
+        # gradient exactly zero, so every alignment is zero
+        mx, _ = random_batch(rng, 4, 3, 4)
+        grad, _ = hypergrad(cache, clf_hat, mx, clf_hat.forward(mx))
+        np.testing.assert_array_equal(grad, np.zeros_like(grad))
 
     def test_aligned_samples_pushed_up(self, rng):
         # meta batch = train batch in the small-step limit: the coefficient
@@ -134,6 +135,108 @@ class TestHypergrad:
         wnet.set_flat(wnet.get_flat() + 1.0)
         with pytest.raises(RuntimeError):
             hypergrad(cache, clf_hat, x, onehot(y, 4), wnet=wnet)
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+def oracle_weights(v, normalize):
+    s = v.sum()
+    return v / s if normalize and s != 0.0 else v
+
+
+class TestFactoredStepOracle:
+    """The factored step and hypergradient against a reconstruction from
+    the dense per-sample gradient matrix."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_plain_path(self, normalize):
+        rng = np.random.default_rng(2024)
+        for _ in range(10):
+            clf = Classifier.init([5, 9, 7, 4], rng)
+            wnet = WeightNet.init(3, rng, hidden=6)
+            n = int(rng.integers(2, 12))
+            x, y = random_batch(rng, n, 5, 4)
+            fams = rng.integers(0, 3, size=n)
+            mx, my = random_batch(rng, 7, 5, 4)
+            mt = onehot(my, 4)
+            alpha = 0.1
+            losses, g = clf.per_sample_grads(x, y)
+            v, dv = wnet.weight_and_grad(losses, fams)
+            step = g.T @ oracle_weights(v, normalize)
+
+            clf_hat, cache = virtual_step(clf, wnet, x, y, fams, alpha,
+                                          normalize)
+            assert rel_err(clf.get_flat() - clf_hat.get_flat(),
+                           alpha * step) <= 1e-12
+
+            grad, _ = hypergrad(cache, clf_hat, mx, mt)
+            _, g_meta = clf_hat.per_sample_grads(mx, mt)
+            c = g @ g_meta.mean(axis=0)
+            s = v.sum()
+            if normalize:
+                want = (c @ dv) / s - ((c * v).sum() / s ** 2) * dv.sum(axis=0)
+            else:
+                want = c @ dv
+            assert rel_err(grad, -alpha * want) <= 1e-12
+
+            # real step at a moved Theta: weights recomputed there
+            wnet.set_flat(wnet.get_flat() + 0.3 * rng.normal(size=wnet.n_params))
+            step = g.T @ oracle_weights(wnet.weight(losses, fams), normalize)
+            clf2 = clf.copy()
+            classifier_update(clf2, SgdMomentum(alpha), wnet, x, y, fams,
+                              alpha, normalize)
+            assert rel_err(clf.get_flat() - clf2.get_flat(),
+                           alpha * step) <= 1e-12
+
+    def test_soft_label_path(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(10):
+            clf = Classifier.init([5, 9, 7, 4], rng)
+            wnet = WeightNet.init(3, rng, hidden=6)
+            n = int(rng.integers(2, 12))
+            x, y = random_batch(rng, n, 5, 4)
+            z = rng.dirichlet(np.ones(4), size=n)
+            perm = rng.permutation(n)
+            fams = rng.integers(0, 3, size=n)
+            lam = float(rng.uniform())
+            mx, my = random_batch(rng, 7, 5, 4)
+            mt = onehot(my, 4)
+            alpha = 0.05
+            loss_a, gA = clf.per_sample_grads(x, y)
+            _, gAz = clf.per_sample_grads(x, z)
+            loss_b, gB = clf.per_sample_grads(x, y[perm])
+            _, gBz = clf.per_sample_grads(x, z[perm])
+
+            def step_at(w):
+                vA = w.weight(loss_a, fams)
+                vB = w.weight(loss_b, fams[perm])
+                dirA = gA * vA[:, None] + gAz * (1.0 - vA)[:, None]
+                dirB = gB * vB[:, None] + gBz * (1.0 - vB)[:, None]
+                return lam * dirA.sum(axis=0) + (1.0 - lam) * dirB.sum(axis=0)
+
+            clf_hat, cache = sl_virtual_step(clf, wnet, x, y, z, y[perm],
+                                             z[perm], fams, fams[perm], lam,
+                                             alpha)
+            assert rel_err(clf.get_flat() - clf_hat.get_flat(),
+                           alpha * step_at(wnet)) <= 1e-12
+
+            grad, _ = hypergrad(cache, clf_hat, mx, mt)
+            _, g_meta = clf_hat.per_sample_grads(mx, mt)
+            gbar = g_meta.mean(axis=0)
+            _, dvA = wnet.weight_and_grad(loss_a, fams)
+            _, dvB = wnet.weight_and_grad(loss_b, fams[perm])
+            want = (lam * (((gA - gAz) @ gbar) @ dvA)
+                    + (1.0 - lam) * (((gB - gBz) @ gbar) @ dvB))
+            assert rel_err(grad, -alpha * want) <= 1e-12
+
+            wnet.set_flat(wnet.get_flat() + 0.3 * rng.normal(size=wnet.n_params))
+            clf2 = clf.copy()
+            metaloop._real_step(clf2, SgdMomentum(alpha), wnet, cache.factors,
+                                alpha)
+            assert rel_err(clf.get_flat() - clf2.get_flat(),
+                           alpha * step_at(wnet)) <= 1e-12
 
 
 class TestMetaUpdate:
@@ -395,8 +498,8 @@ class TestSoftLabelStep:
         clf_hat, cache = sl_virtual_step(clf, wnet, x, y, z, y[perm], z[perm],
                                          fams, fams[perm], 0.6, 0.05)
         clf2 = clf.copy()
-        sl_classifier_update(clf2, SgdMomentum(0.05), wnet, cache,
-                             fams, fams[perm], 0.05)
+        metaloop._real_step(clf2, SgdMomentum(0.05), wnet, cache.factors,
+                            0.05)
         np.testing.assert_allclose(clf2.get_flat(), clf_hat.get_flat(),
                                    atol=1e-12)
 
