@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import read_exact
+from .numkit import CorruptArtifact, read_exact
 
 
 @dataclass
@@ -82,9 +82,6 @@ class Dataset:
     def class_counts(self) -> np.ndarray:
         """Observed per-class sizes (these gate the task families)."""
         return np.bincount(self.observed_labels, minlength=self.C)
-
-    def counts_per_sample(self) -> np.ndarray:
-        return self.class_counts()[self.observed_labels]
 
     def noisy_mask(self) -> np.ndarray:
         return self.observed_labels != self.clean_labels
@@ -371,10 +368,10 @@ def save_dataset(path, ds: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a dataset file")
+            raise CorruptArtifact(f"{path}: not a dataset file")
         version, n, d, C, flags = struct.unpack("<IQQQI", read_exact(fh, 32, path))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported dataset version {version}")
+            raise CorruptArtifact(f"{path}: unsupported dataset version {version}")
         feats = np.frombuffer(read_exact(fh, 8 * n * d, path), dtype="<f8").reshape(n, d).copy()
         obs = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
         clean = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()

@@ -21,6 +21,7 @@ import numpy as np
 from . import biasgen, metaloop, metrics, models
 from .config import (ConfigError, ExperimentConfig, build_test_dataset,
                      build_train_dataset, load_config, save_config)
+from .numkit import CorruptArtifact
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     except (FloatingPointError, ZeroDivisionError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, EOFError) as e:  # EOFError: truncated artifact file
+    except (OSError, CorruptArtifact) as e:
         print(f"I/O failure: {e}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,15 +1,17 @@
-"""Bi-level training engine.
+"""Bi-level training engine: one loop serves every variant and transfer.
 
-One iteration: a virtual SGD step of the classifier whose per-sample
-weights come from the weighting net, a closed-form hypergradient of the
-meta loss through that step (the one-step update is linear in the weights,
-so no tape is needed), a weighting-net update, then the real classifier
-step with the refreshed weights. Step and hypergradient use the per-layer
-factors of one batched forward and backward pass (layer inputs a_j and
-deltas d_j, sample j's gradient being outer(a_j, d_j)), never per-sample
-gradient matrices. The soft-label variant (EMA weights, temporal
-ensembling, mixup) shares that step path. Also houses the per-epoch
-meta-set builder and the transfer (frozen weight net) trainer.
+Each iteration after warmup forms the per-layer factors of one batched
+forward and backward pass at the current classifier w (layer inputs a_j
+and deltas d_j, sample j's gradient being outer(a_j, d_j)); per-sample
+gradient matrices are never formed. When a meta step is due, these factors
+give a virtual SGD step weighted by the weighting net, a closed-form
+hypergradient of the meta loss through it (the one-step update is linear
+in the weights, so no tape is needed) and a weighting-net update. The real
+classifier step then reuses the same factors with the refreshed weights.
+The soft-label variant (EMA weights, temporal ensembling, mixup) differs
+only in how it builds the factors. Transfer is the same loop with the
+weighting net frozen, and ERM the same loop without one. Also houses the
+per-epoch meta-set builder.
 """
 
 from __future__ import annotations
@@ -42,21 +44,16 @@ class MetaBatch:
 
 def build_meta_set(ds: Dataset, clf: Classifier, per_class: int = 10,
                    mixup: bool = True, rng: np.random.Generator | None = None,
-                   mode: str = "lowest",
                    pseudo_targets: np.ndarray | None = None) -> MetaBatch:
     """Class-balanced trusted batch drawn from the training data.
 
-    mode="lowest" picks the per_class samples with the smallest current
-    cross-entropy loss per observed class; mode="random" draws uniformly
-    (used before the classifier is warmed up). With mixup, pairs inside
-    the batch are convexly combined (features and soft labels).
+    Picks the per_class samples with the smallest current cross-entropy
+    loss per observed class. With mixup, pairs inside the batch are
+    convexly combined (features and soft labels).
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if mode not in ("lowest", "random"):
-        raise ValueError(f"unknown meta-set mode {mode!r}")
-    if mode == "lowest":
-        losses = clf.losses(ds.features, ds.observed_labels)
+    losses = clf.losses(ds.features, ds.observed_labels)
     picked = []
     for c in range(ds.C):
         members = np.where(ds.observed_labels == c)[0]
@@ -64,8 +61,6 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int = 10,
             warnings.warn(f"class {c} has only {members.size} samples; "
                           f"taking all of them for the meta set")
             take = members
-        elif mode == "random":
-            take = rng.choice(members, size=per_class, replace=False)
         else:
             take = members[np.argsort(losses[members], kind="stable")[:per_class]]
         picked.append(take)
@@ -125,12 +120,15 @@ def _step_grads(f: StepFactors, v: np.ndarray) -> list[np.ndarray]:
     return grads
 
 
-def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float,
-             weight_override: np.ndarray | None = None):
+def _factors(clf: Classifier, x: np.ndarray, targets: np.ndarray,
+             fams: np.ndarray, normalize: bool) -> StepFactors:
+    """Factors of the plain weighted step on (x, targets)."""
+    losses, acts, deltas = clf.factors(x, targets)
+    return StepFactors(acts, deltas, losses, fams, normalize)
+
+
+def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float):
     v, dv = wnet.weight_and_grad(f.losses, f.fams)
-    if weight_override is not None:
-        v = np.broadcast_to(weight_override, v.shape).astype(np.float64)
-        dv = np.zeros_like(dv)
     step = flatten(_step_grads(f, v))
     if not np.all(np.isfinite(step)):
         raise FloatingPointError("non-finite gradient in virtual step")
@@ -161,9 +159,8 @@ def virtual_step(clf: Classifier, wnet: WeightNet, x: np.ndarray,
     """
     if x.shape[0] == 0:
         raise ValueError("empty batch")
-    losses, acts, deltas = clf.factors(x, targets)
-    f = StepFactors(acts, deltas, losses, fams, normalize)
-    return _virtual(clf, wnet, f, alpha)
+    return _virtual(clf, wnet, _factors(clf, x, targets, fams, normalize),
+                    alpha)
 
 
 def hypergrad(cache: VirtualStepCache, clf_hat: Classifier,
@@ -210,9 +207,8 @@ def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
     Returns the raw per-sample weights (for logging). With momentum 0 the
     result coincides with the virtual step at the same Theta.
     """
-    losses, acts, deltas = clf.factors(x, targets)
-    f = StepFactors(acts, deltas, losses, fams, normalize)
-    return _real_step(clf, optimizer, wnet, f, alpha)
+    return _real_step(clf, optimizer, wnet,
+                      _factors(clf, x, targets, fams, normalize), alpha)
 
 
 def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
@@ -283,19 +279,17 @@ def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
 def sl_virtual_step(clf: Classifier, wnet: WeightNet, x_mix: np.ndarray,
                     y_a: np.ndarray, z_a: np.ndarray, y_b: np.ndarray,
                     z_b: np.ndarray, fams_a: np.ndarray, fams_b: np.ndarray,
-                    lam: float, alpha: float,
-                    weight_override: np.ndarray | None = None):
+                    lam: float, alpha: float):
     """Virtual step of the soft-label objective on a mixup batch.
 
     Per sample the descent direction is
       lam   * [ vA * dCE(y_a) + (1-vA) * dCE(z_a) ]
     + (1-lam) * [ vB * dCE(y_b) + (1-vB) * dCE(z_b) ],
     with vA = head(loss against y_a), vB = head(loss against y_b), both
-    evaluated at the mixed input. weight_override pins all weights to a
-    constant (test hook).
+    evaluated at the mixed input.
     """
     f = _sl_factors(clf, x_mix, y_a, z_a, y_b, z_b, fams_a, fams_b, lam)
-    return _virtual(clf, wnet, f, alpha, weight_override)
+    return _virtual(clf, wnet, f, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +308,7 @@ class TrainState:
     t: int = 0
     history: list[dict] = field(default_factory=list)
     final_report: dict = field(default_factory=dict)
+    logger: MetricLogger | None = None
 
 
 def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
@@ -388,154 +383,32 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     row per iteration into state.history and a summary into
     state.final_report.
     """
-    from .metrics import evaluate  # local import, metrics also imports models
-
     variant = cfg.train.variant
     rng_init_clf, rng_init_wn, rng_order, rng_meta, rng_kmeans, rng_sl = \
         spawn_rngs(seed, 6)
 
     K = 1 if variant == "mwnet" else cfg.model.K
     fam = kmeans_1d(ds.class_counts(), K, restarts=10, rng=rng_kmeans)
-    fams_all = np.array([fam.class_to_family[int(c)] for c in ds.observed_labels])
-
     clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng_init_clf)
     wnet = None
+    theta_opt = None
     if variant != "erm":
         wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H,
                               loss_clamp=cfg.model.loss_clamp)
-    clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,
-                          cfg.train.weight_decay)
-    theta_opt = None
-    if wnet is not None:
         if cfg.train.theta_optimizer == "adam":
             theta_opt = Adam(cfg.train.theta_lr,
                              weight_decay=cfg.train.theta_weight_decay)
         else:
             theta_opt = SgdMomentum(cfg.train.theta_lr)
-
+    clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,
+                          cfg.train.weight_decay)
     state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
                        theta_opt=theta_opt)
-    sl = variant == "cmwnet-sl"
-    if sl:
+    if variant == "cmwnet-sl":
         state.z = _onehot(ds.observed_labels, ds.C)
-        zero = Classifier.init(clf.sizes, np.random.default_rng(0))
-        zero.set_flat(np.zeros(zero.n_params))
-        state.w_wa = zero
-
-    logger = MetricLogger(K=fam.K)
-    n = ds.n
-    batch = min(cfg.train.batch_size, n)
-    iters_per_epoch = int(np.ceil(n / batch))
-    normalize = cfg.model.normalize
-    test_acc = float("nan")
-    if test_ds is not None:
-        test_acc = evaluate(clf, test_ds).accuracy
-    meta_loss = float("nan")
-    hg_norm = float("nan")
-
-    for epoch in range(cfg.train.epochs):
-        in_warmup = variant != "erm" and epoch < cfg.train.warmup_epochs
-        meta_pool = None
-        if variant != "erm" and not in_warmup:
-            pseudo = state.z if (sl and cfg.train.meta_labels == "pseudo") else None
-            meta_pool = build_meta_set(ds, clf, cfg.train.meta_per_class,
-                                       cfg.train.mixup_meta, rng_meta,
-                                       pseudo_targets=pseudo)
-        order = rng_order.permutation(n)
-        for it in range(iters_per_epoch):
-            idx = order[it * batch:(it + 1) * batch]
-            x = ds.features[idx]
-            y = ds.observed_labels[idx]
-            fams = fams_all[idx]
-            alpha = _schedule_lr(cfg.train.schedule, cfg.train.lr, epoch,
-                                 state.t, cfg.train.epochs)
-            if variant == "erm" or in_warmup:
-                train_loss = erm_update(clf, clf_opt, x, y, alpha)
-                fam_w = {f"family_weight_{k}": float("nan")
-                         for k in range(fam.K)}
-            else:
-                m = min(cfg.train.meta_batch_size, meta_pool.m)
-                midx = rng_meta.choice(meta_pool.m, size=m, replace=False)
-                mx, mt = meta_pool.x[midx], meta_pool.targets[midx]
-                do_meta = state.t % max(1, cfg.train.t_meta) == 0
-                beta = _schedule_lr(cfg.train.schedule, cfg.train.theta_lr,
-                                    epoch, state.t, cfg.train.epochs) \
-                    if cfg.train.schedule.get("kind") == "decay" \
-                    else cfg.train.theta_lr
-                if sl:
-                    train_loss, v, meta_loss, hg_norm = _sl_iteration(
-                        state, ds, idx, x, y, fams_all, mx, mt, alpha, beta,
-                        cfg, rng_sl, do_meta)
-                else:
-                    meta_loss = float("nan")
-                    hg_norm = float("nan")
-                    if do_meta:
-                        clf_hat, cache = virtual_step(clf, wnet, x, y, fams,
-                                                      alpha, normalize)
-                        hg, meta_loss = hypergrad(cache, clf_hat, mx, mt)
-                        theta_opt.lr = beta
-                        meta_update(wnet, theta_opt, hg)
-                        hg_norm = float(np.linalg.norm(hg))
-                    v = classifier_update(clf, clf_opt, wnet, x, y, fams,
-                                          alpha, normalize)
-                    train_loss = float(clf.losses(x, y).mean())
-                fam_w = _family_means(v, fams, fam.K)
-            logger.log(iteration=state.t, epoch=epoch,
-                       train_loss=float(train_loss), meta_loss=meta_loss,
-                       test_acc=test_acc, hypergrad_norm=hg_norm, **fam_w)
-            state.t += 1
-        if test_ds is not None:
-            test_acc = evaluate(clf, test_ds).accuracy
-
-    state.history = logger.rows
-    state.final_report = _final_report(state, ds, test_ds, test_acc)
-    state.logger = logger
-    return state
-
-
-def _sl_iteration(state: TrainState, ds: Dataset, idx, x, y, fams_all,
-                  mx, mt, alpha, beta, cfg, rng, do_meta):
-    clf, wnet = state.clf, state.wnet
-    slc = cfg.train.sl
-    ema_update(state.w_wa, clf, slc["beta_wa"])
-    p = state.w_wa.forward(x)
-    state.z[idx] = temporal_ensemble(state.z[idx], p, slc["alpha_te"])
-    lam = float(rng.beta(slc["gamma"], slc["gamma"]))
-    lam = max(lam, 1.0 - lam)
-    perm = rng.permutation(idx.size)
-    x_mix = lam * x + (1.0 - lam) * x[perm]
-    y_b = y[perm]
-    z_a = state.z[idx]
-    z_b = z_a[perm]
-    fams_a = fams_all[idx]
-    fams_b = fams_a[perm]
-    f = _sl_factors(clf, x_mix, y, z_a, y_b, z_b, fams_a, fams_b, lam)
-    meta_loss = float("nan")
-    hg_norm = float("nan")
-    if do_meta:
-        clf_hat, cache = _virtual(clf, wnet, f, alpha)
-        hg, meta_loss = hypergrad(cache, clf_hat, mx, mt)
-        state.theta_opt.lr = beta
-        meta_update(wnet, state.theta_opt, hg)
-        hg_norm = float(np.linalg.norm(hg))
-    v = _real_step(clf, state.clf_opt, wnet, f, alpha)
-    train_loss = float(clf.losses(x_mix, y).mean())
-    return train_loss, v[:idx.size], meta_loss, hg_norm
-
-
-def _final_report(state: TrainState, ds: Dataset, test_ds, test_acc) -> dict:
-    report = {"test_acc": float(test_acc), "iterations": state.t}
-    if state.wnet is not None and state.fam is not None:
-        losses = state.clf.losses(ds.features, ds.observed_labels)
-        fams = np.array([state.fam.class_to_family[int(c)]
-                         for c in ds.observed_labels])
-        v = state.wnet.weight(losses, fams)
-        noisy = ds.noisy_mask()
-        report["mean_weight"] = float(v.mean())
-        if noisy.any() and (~noisy).any():
-            report["noisy_mean_weight"] = float(v[noisy].mean())
-            report["clean_mean_weight"] = float(v[~noisy].mean())
-    return report
+        state.w_wa = clf.copy()
+        state.w_wa.set_flat(np.zeros(clf.n_params))
+    return _train(state, ds, cfg, test_ds, rng_order, rng_meta, rng_sl)
 
 
 def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
@@ -545,11 +418,8 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
 
     wnet=None (or a weight net pinned at 1 upstream) reduces to plain ERM.
     """
-    from .metrics import evaluate
-
     rng_init_clf, rng_order, rng_kmeans = spawn_rngs(seed, 3)
     fam = None
-    fams_all = None
     if wnet is not None:
         fam = kmeans_1d(query_ds.class_counts(), wnet.K, restarts=10,
                         rng=rng_kmeans)
@@ -557,47 +427,113 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
             raise ValueError(
                 f"weight net has {wnet.K} heads but query clustering yielded "
                 f"{fam.K} families")
-        fams_all = np.array([fam.class_to_family[int(c)]
-                             for c in query_ds.observed_labels])
     clf = Classifier.init([query_ds.d] + list(cfg.model.hidden) + [query_ds.C],
                           rng_init_clf)
     clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,
                           cfg.train.weight_decay)
     state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
                        theta_opt=None)
-    logger = MetricLogger(K=wnet.K if wnet is not None else 1)
-    n = query_ds.n
-    batch = min(cfg.train.batch_size, n)
+    return _train(state, query_ds, cfg, test_ds, rng_order)
+
+
+def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
+           rng_order, rng_meta=None, rng_sl=None) -> TrainState:
+    """The training loop of every variant and of transfer.
+
+    Without a weighting net every step is plain ERM; with one, the epochs
+    after warmup take weighted steps. Theta learns from the meta set only
+    if state.theta_opt is set, and stays frozen otherwise. State carrying
+    ensembled targets (state.z) takes the soft-label step.
+    """
+    from .metrics import evaluate  # local import, metrics also imports models
+
+    clf, wnet, tc = state.clf, state.wnet, cfg.train
+    K = state.fam.K if state.fam is not None else 1
+    fams_all = None
+    if state.fam is not None:
+        fams_all = np.array([state.fam.class_to_family[int(c)]
+                             for c in ds.observed_labels])
+    state.logger = MetricLogger(K=K)
+    n = ds.n
+    batch = min(tc.batch_size, n)
     iters_per_epoch = int(np.ceil(n / batch))
     test_acc = float("nan")
     if test_ds is not None:
         test_acc = evaluate(clf, test_ds).accuracy
-    for epoch in range(cfg.train.epochs):
-        in_warmup = wnet is not None and epoch < cfg.train.warmup_epochs
+
+    for epoch in range(tc.epochs):
+        weighted = wnet is not None and epoch >= tc.warmup_epochs
+        if weighted and state.theta_opt is not None:
+            pseudo = state.z if tc.meta_labels == "pseudo" else None
+            meta_pool = build_meta_set(ds, clf, tc.meta_per_class,
+                                       tc.mixup_meta, rng_meta,
+                                       pseudo_targets=pseudo)
         order = rng_order.permutation(n)
         for it in range(iters_per_epoch):
             idx = order[it * batch:(it + 1) * batch]
-            x = query_ds.features[idx]
-            y = query_ds.observed_labels[idx]
-            alpha = _schedule_lr(cfg.train.schedule, cfg.train.lr, epoch,
-                                 state.t, cfg.train.epochs)
-            if wnet is None or in_warmup:
-                train_loss = erm_update(clf, clf_opt, x, y, alpha)
-                fam_w = ({f"family_weight_{k}": float("nan")
-                          for k in range(fam.K)} if fam is not None else {})
+            x = ds.features[idx]
+            y = ds.observed_labels[idx]
+            alpha = _schedule_lr(tc.schedule, tc.lr, epoch, state.t, tc.epochs)
+            meta_loss = hg_norm = float("nan")
+            if not weighted:
+                train_loss = erm_update(clf, state.clf_opt, x, y, alpha)
+                fam_w = {f"family_weight_{k}": float("nan") for k in range(K)}
             else:
-                v = classifier_update(clf, clf_opt, wnet, x, y, fams_all[idx],
-                                      alpha, cfg.model.normalize)
+                fams = fams_all[idx]
+                if state.z is None:
+                    f = _factors(clf, x, y, fams, cfg.model.normalize)
+                else:
+                    x, f = _sl_batch(state, idx, x, y, fams, tc.sl, rng_sl)
+                if state.theta_opt is not None:
+                    m = min(tc.meta_batch_size, meta_pool.m)
+                    midx = rng_meta.choice(meta_pool.m, size=m, replace=False)
+                    if state.t % max(1, tc.t_meta) == 0:
+                        clf_hat, cache = _virtual(clf, wnet, f, alpha)
+                        hg, meta_loss = hypergrad(cache, clf_hat,
+                                                  meta_pool.x[midx],
+                                                  meta_pool.targets[midx])
+                        state.theta_opt.lr = (
+                            _schedule_lr(tc.schedule, tc.theta_lr, epoch,
+                                         state.t, tc.epochs)
+                            if tc.schedule.get("kind") == "decay"
+                            else tc.theta_lr)
+                        meta_update(wnet, state.theta_opt, hg)
+                        hg_norm = float(np.linalg.norm(hg))
+                v = _real_step(clf, state.clf_opt, wnet, f, alpha)
                 train_loss = float(clf.losses(x, y).mean())
-                fam_w = _family_means(v, fams_all[idx], fam.K)
-            logger.log(iteration=state.t, epoch=epoch,
-                       train_loss=float(train_loss),
-                       meta_loss=float("nan"), test_acc=test_acc,
-                       hypergrad_norm=float("nan"), **fam_w)
+                fam_w = _family_means(v[:idx.size], fams, K)
+            state.logger.log(iteration=state.t, epoch=epoch,
+                             train_loss=float(train_loss), meta_loss=meta_loss,
+                             test_acc=test_acc, hypergrad_norm=hg_norm, **fam_w)
             state.t += 1
         if test_ds is not None:
             test_acc = evaluate(clf, test_ds).accuracy
-    state.history = logger.rows
-    state.final_report = _final_report(state, query_ds, test_ds, test_acc)
-    state.logger = logger
+
+    state.history = state.logger.rows
+    state.final_report = {"test_acc": float(test_acc), "iterations": state.t}
+    if wnet is not None:
+        v = wnet.weight(clf.losses(ds.features, ds.observed_labels), fams_all)
+        noisy = ds.noisy_mask()
+        state.final_report["mean_weight"] = float(v.mean())
+        if noisy.any() and (~noisy).any():
+            state.final_report["noisy_mean_weight"] = float(v[noisy].mean())
+            state.final_report["clean_mean_weight"] = float(v[~noisy].mean())
     return state
+
+
+def _sl_batch(state: TrainState, idx, x, y, fams, slc: dict, rng):
+    """Soft-label bookkeeping of one batch, then its step factors.
+
+    Refreshes the EMA classifier and the batch's ensembled targets, draws
+    the mixup pairing and returns (mixed inputs, factors).
+    """
+    ema_update(state.w_wa, state.clf, slc["beta_wa"])
+    p = state.w_wa.forward(x)
+    state.z[idx] = temporal_ensemble(state.z[idx], p, slc["alpha_te"])
+    lam = float(rng.beta(slc["gamma"], slc["gamma"]))
+    lam = max(lam, 1.0 - lam)
+    perm = rng.permutation(idx.size)
+    x_mix = lam * x + (1.0 - lam) * x[perm]
+    z = state.z[idx]
+    return x_mix, _sl_factors(state.clf, x_mix, y, z, y[perm], z[perm],
+                              fams, fams[perm], lam)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .numkit import read_exact, relu, relu_grad, sigmoid, softmax, xent
+from .numkit import (CorruptArtifact, read_exact, relu, relu_grad, sigmoid,
+                     softmax, xent)
 
 DEFAULT_HIDDEN = 100
 DEFAULT_LOSS_CLAMP = 50.0
@@ -217,19 +218,24 @@ class WeightNet:
         h = relu(ell[:, None] @ self.W1 + self.b1)
         return sigmoid(h @ self.W2 + self.b2)
 
+    def _gated(self, losses: np.ndarray, fam: np.ndarray):
+        """Forward pass through each sample's own head:
+        (clamped losses, fam, z1, h, v) with v_j = head[fam_j](loss_j)."""
+        ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
+        fam = np.atleast_1d(np.asarray(fam))
+        z1 = ell[:, None] @ self.W1 + self.b1           # (n, H)
+        h = relu(z1)
+        z2 = np.einsum("nh,hn->n", h, self.W2[:, fam]) + self.b2[fam]
+        return ell, fam, z1, h, sigmoid(z2)
+
     def weight_and_grad(self, losses: np.ndarray, fam: np.ndarray):
         """Per-sample gated weight v_j = head[fam_j](loss_j) and dv_j/dTheta.
 
         Returns (v [n], dv [n x PTheta]) with dv rows flattened in params order.
         """
-        ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
-        fam = np.atleast_1d(np.asarray(fam))
+        ell, fam, z1, h, v = self._gated(losses, fam)
         n = ell.shape[0]
         H = self.hidden
-        z1 = ell[:, None] @ self.W1 + self.b1           # (n, H)
-        h = relu(z1)
-        z2 = np.einsum("nh,hn->n", h, self.W2[:, fam]) + self.b2[fam]
-        v = sigmoid(z2)
         # backward for the selected head only: in the W2 (H x K) and b2
         # blocks of row j only column fam_j is nonzero
         dz2 = v * (1.0 - v)                             # (n,)
@@ -245,8 +251,8 @@ class WeightNet:
         return v, dv
 
     def weight(self, losses: np.ndarray, fam: np.ndarray) -> np.ndarray:
-        v, _ = self.weight_and_grad(losses, fam)
-        return v
+        """The v of weight_and_grad, without forming dv."""
+        return self._gated(losses, fam)[-1]
 
 
 def cmw_weight(loss: float, count: float, wnet: WeightNet, centers: np.ndarray):
@@ -280,14 +286,18 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
 def read_arrays(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
+            raise CorruptArtifact(f"{path}: not a checkpoint file")
         version, count = struct.unpack("<II", read_exact(fh, 8, path))
         if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            raise CorruptArtifact(
+                f"{path}: unsupported checkpoint version {version}")
         out = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
-            name = read_exact(fh, nlen, path).decode()
+            try:
+                name = read_exact(fh, nlen, path).decode()
+            except UnicodeDecodeError as e:
+                raise CorruptArtifact(f"{path}: bad array name ({e})") from e
             (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
             shape = struct.unpack(f"<{ndim}q", read_exact(fh, 8 * ndim, path))
             size = int(np.prod(shape))
@@ -347,7 +357,14 @@ def load_checkpoint(path) -> Checkpoint:
     path = str(path)
     arrays = read_arrays(path)
     with open(path + ".json") as fh:
-        sidecar = json.load(fh)
+        try:
+            return _checkpoint_from(arrays, json.load(fh))
+        except (ValueError, KeyError, TypeError) as e:
+            raise CorruptArtifact(f"{path}.json: sidecar does not describe "
+                                  f"the checkpoint ({e!r})") from e
+
+
+def _checkpoint_from(arrays: dict[str, np.ndarray], sidecar: dict) -> Checkpoint:
     sizes = sidecar["classifier_sizes"]
     n_layers = len(sizes) - 1
     clf = Classifier(

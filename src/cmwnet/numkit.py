@@ -1,13 +1,15 @@
 """Dense float64 numeric primitives.
 
 Activations and losses with hand-derived gradients, first-order optimizers,
-seeded RNG construction, exact-length reads for the binary artifact files,
-and the central finite-difference oracle used by the test suite. No
-autodiff anywhere: every backward pass in this package is written out
-explicitly.
+seeded RNG construction, exact-length reads for the binary artifact files
+(and the error for a corrupt one), and the central finite-difference oracle
+used by the test suite. No autodiff anywhere: every backward pass in this
+package is written out explicitly.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -187,14 +189,6 @@ class Adam:
         return out
 
 
-def make_optimizer(kind: str, **kwargs):
-    if kind == "sgd-momentum":
-        return SgdMomentum(**kwargs)
-    if kind == "adam":
-        return Adam(**kwargs)
-    raise ValueError(f"unknown optimizer kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # flattening, exact binary reads and the finite-difference oracle
 
@@ -214,12 +208,19 @@ def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray
     return out
 
 
+class CorruptArtifact(ValueError):
+    """An artifact file that is truncated or not in its expected format."""
+
+
 def read_exact(fh, size: int, path) -> bytes:
-    """Read exactly `size` bytes from a binary file; EOFError if it ends first."""
-    data = fh.read(size)
-    if len(data) != size:
-        raise EOFError(f"{path}: truncated file ({len(data)} of {size} bytes)")
-    return data
+    """Read exactly `size` bytes from a binary file; CorruptArtifact if it
+    ends first. The size is checked before reading, so a corrupt length
+    field cannot request a huge buffer."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= size <= left:
+        raise CorruptArtifact(f"{path}: truncated file (needs {size} more "
+                              f"bytes, has {left})")
+    return fh.read(size)
 
 
 def finite_diff_grad(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

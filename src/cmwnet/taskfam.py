@@ -24,12 +24,6 @@ class FamilyIndex:
     def K(self) -> int:
         return len(self.centers)
 
-    def family_of_class(self, cls: int) -> int:
-        return self.class_to_family[cls]
-
-    def family_of_count(self, count: float) -> int:
-        return nearest_family(count, self.centers)
-
 
 def assign_family(count: float, centers: np.ndarray) -> int:
     """Nearest center index; exact midpoint ties go to the smaller center."""

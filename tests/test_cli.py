@@ -105,34 +105,65 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 4
 
-    @pytest.mark.parametrize("keep", [6, 100, -1])
+    @staticmethod
+    def damage(path, keep):
+        """Truncate path to its first `keep` bytes (int), or corrupt one
+        header field; returns the file the error must name."""
+        data = path.read_bytes()
+        if keep == "magic":
+            path.write_bytes(b"XXXX" + data[4:])
+        elif keep == "version":
+            path.write_bytes(data[:4] + (99).to_bytes(4, "little") + data[8:])
+        elif keep == "length":  # a dataset's sample count: 2**46 bytes
+            path.write_bytes(data[:8] + (2 ** 40).to_bytes(8, "little")
+                             + data[16:])
+        elif keep == "name":  # first byte of a checkpoint's first array name
+            path.write_bytes(data[:16] + b"\xff" + data[17:])
+        else:
+            path.write_bytes(data[:keep])
+        return path
+
+    def assert_io_failure(self, code, capsys, path, keep):
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("I/O failure: ")
+        assert str(path) in err[0]
+        if isinstance(keep, int):
+            assert "truncated" in err[0]
+
+    @pytest.mark.parametrize("keep", [6, 100, -1, "magic", "version", "name",
+                                      "sidecar-json", "sidecar-key"])
     def test_truncated_checkpoint(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         src = tmp_path / "src"
         cli.main(["train", "--config", str(cfg), "--out", str(src)])
         ckpt = src / "checkpoint.ckpt"
-        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        sidecar = src / "checkpoint.ckpt.json"
+        if keep == "sidecar-json":
+            bad = sidecar
+            bad.write_text('{"classifier_sizes": [3, 8')
+        elif keep == "sidecar-key":
+            bad = sidecar
+            bad.write_text(json.dumps({"weightnet": None}))
+        else:
+            bad = self.damage(ckpt, keep)
         capsys.readouterr()
         code = cli.main(["meta-test", "--config", str(cfg),
                          "--out", str(tmp_path / "dst"),
                          "--checkpoint", str(ckpt)])
-        assert code == 4
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "truncated" in err[0]
+        self.assert_io_failure(code, capsys, bad, keep)
 
-    @pytest.mark.parametrize("keep", [20, 100, -1])
+    @pytest.mark.parametrize("keep", [20, 100, -1, "magic", "version",
+                                      "length"])
     def test_truncated_dataset(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
         cli.main(["train", "--config", str(cfg), "--out", str(out)])
-        data = out / "train.cmwd"
-        data.write_bytes(data.read_bytes()[:keep])
+        data = self.damage(out / "train.cmwd", keep)
         capsys.readouterr()
         code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
                          "--out", str(tmp_path / "c"), "--dataset", str(data)])
-        assert code == 4
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "truncated" in err[0]
+        self.assert_io_failure(code, capsys, data, keep)
 
     def test_mwnet_alias_requires_k1(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "mwnet"}, model={"K": 3})

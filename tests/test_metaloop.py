@@ -372,19 +372,6 @@ class TestMetaSet:
                                    np.ones(batch.m), atol=1e-12)
         assert np.all(batch.targets >= 0)
 
-    def test_random_mode_ignores_losses(self, rng):
-        ds = self.make_ds()
-        clf = Classifier.init([3, 8, 4], rng)
-        a = build_meta_set(ds, clf, per_class=5, mixup=False,
-                           rng=np.random.default_rng(4), mode="random")
-        assert a.m == 20
-
-    def test_unknown_mode(self, rng):
-        ds = self.make_ds()
-        clf = Classifier.init([3, 8, 4], rng)
-        with pytest.raises(ValueError):
-            build_meta_set(ds, clf, mode="best")
-
 
 class TestSoftLabelPieces:
     def test_ema_beta_zero_copies(self, rng):
@@ -441,20 +428,28 @@ class TestSoftLabelStep:
         fams = rng.integers(0, 3, size=n)
         return clf, wnet, x, y, z, perm, fams
 
+    def saturate(self, wnet, b2):
+        """Pin every head of wnet at sigmoid(b2), whatever the loss."""
+        wnet.W1 = np.zeros_like(wnet.W1)
+        wnet.b1 = np.zeros_like(wnet.b1)
+        wnet.W2 = np.zeros_like(wnet.W2)
+        wnet.b2 = np.full(wnet.K, b2)
+        return wnet
+
     def test_weight_one_lam_one_reduces_to_hard_label_step(self, rng):
         clf, wnet, x, y, z, perm, fams = self.setup_batch(rng)
-        clf_hat, _ = sl_virtual_step(clf, wnet, x, y, z, y[perm], z[perm],
-                                     fams, fams[perm], 1.0, 0.05,
-                                     weight_override=np.array(1.0))
+        clf_hat, _ = sl_virtual_step(clf, self.saturate(wnet, 500.0), x, y, z,
+                                     y[perm], z[perm], fams, fams[perm], 1.0,
+                                     0.05)
         _, g = clf.per_sample_grads(x, y)
         expected = clf.get_flat() - 0.05 * g.sum(axis=0)
         np.testing.assert_allclose(clf_hat.get_flat(), expected, atol=1e-12)
 
     def test_weight_zero_lam_one_pure_pseudo_step(self, rng):
         clf, wnet, x, y, z, perm, fams = self.setup_batch(rng)
-        clf_hat, _ = sl_virtual_step(clf, wnet, x, y, z, y[perm], z[perm],
-                                     fams, fams[perm], 1.0, 0.05,
-                                     weight_override=np.array(0.0))
+        clf_hat, _ = sl_virtual_step(clf, self.saturate(wnet, -500.0), x, y, z,
+                                     y[perm], z[perm], fams, fams[perm], 1.0,
+                                     0.05)
         _, gz = clf.per_sample_grads(x, z)
         expected = clf.get_flat() - 0.05 * gz.sum(axis=0)
         np.testing.assert_allclose(clf_hat.get_flat(), expected, atol=1e-12)
@@ -580,6 +575,22 @@ class TestMetaTrain:
                  if r["epoch"] >= cfg.train.warmup_epochs]
         finite = [not np.isnan(v) for v in norms]
         assert sum(finite) == len(norms) // 4 + (1 if len(norms) % 4 else 0)
+
+    def test_one_factor_pass_per_weighted_iteration(self, monkeypatch):
+        calls = []
+        factors = Classifier.factors
+
+        def counted(self, x, targets):
+            calls.append(x.shape[0])
+            return factors(self, x, targets)
+
+        monkeypatch.setattr(Classifier, "factors", counted)
+        cfg = desk_cfg(epochs=3)
+        ds = build_train_dataset(cfg)
+        state = meta_train(ds, cfg, seed=0)
+        weighted = sum(r["epoch"] >= cfg.train.warmup_epochs
+                       for r in state.history)
+        assert weighted == 8 and len(calls) == weighted
 
     def test_sl_variant_runs_and_is_deterministic(self):
         cfg = desk_cfg("cmwnet-sl", epochs=3)

@@ -164,6 +164,15 @@ class TestWeightNet:
         table = wn.forward(losses)
         np.testing.assert_allclose(v, table[np.arange(6), fams], atol=1e-14)
 
+    @pytest.mark.parametrize("clamp", [None, 2.0])
+    def test_weight_is_value_of_weight_and_grad(self, rng, clamp):
+        wn = tiny_weightnet(rng, K=3)
+        wn.loss_clamp = clamp
+        losses = rng.uniform(0, 5, size=7)
+        fams = rng.integers(0, 3, size=7)
+        v, _ = wn.weight_and_grad(losses, fams)
+        assert np.array_equal(wn.weight(losses, fams), v)
+
     def test_loss_clamp_flattens_tail(self, rng):
         wn = tiny_weightnet(rng)
         wn.loss_clamp = 10.0
