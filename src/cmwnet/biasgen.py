@@ -133,13 +133,6 @@ def make_gaussian_classes(C: int, d: int, n_per_class: int, separation: float,
 # long tail
 
 
-def imbalance_factor(ds: Dataset) -> float:
-    counts = ds.class_counts()
-    if counts.min() == 0:
-        raise ValueError("empty class")
-    return counts.max() / counts.min()
-
-
 def apply_longtail(ds: Dataset, factor: float, seed: int) -> Dataset:
     """Keep ceil(n_0 * mu^i) samples of class i, mu = factor^(-1/(C-1))."""
     if factor < 1:
@@ -167,13 +160,9 @@ def apply_longtail(ds: Dataset, factor: float, seed: int) -> Dataset:
 # feature-independent noise
 
 
-def inject_symmetric(ds: Dataset, rate: float, seed: int,
-                     exclude_true: bool = False) -> Dataset:
-    """Resample labels of a uniform rate-fraction over all C classes.
-
-    By default the replacement may coincide with the current label;
-    exclude_true forces a different label.
-    """
+def inject_symmetric(ds: Dataset, rate: float, seed: int) -> Dataset:
+    """Resample labels of a uniform rate-fraction over all C classes; the
+    replacement may coincide with the current label."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     out = ds.copy()
@@ -182,11 +171,7 @@ def inject_symmetric(ds: Dataset, rate: float, seed: int,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_flip = int(round(rate * ds.n))
     chosen = rng.choice(ds.n, size=n_flip, replace=False)
-    if exclude_true:
-        shift = rng.integers(1, ds.C, size=n_flip)
-        out.observed_labels[chosen] = (out.observed_labels[chosen] + shift) % ds.C
-    else:
-        out.observed_labels[chosen] = rng.integers(0, ds.C, size=n_flip)
+    out.observed_labels[chosen] = rng.integers(0, ds.C, size=n_flip)
     return out
 
 
@@ -201,18 +186,13 @@ def nearest_class_mapping(spec: GaussianMixtureSpec) -> dict[int, int]:
     return mapping
 
 
-def inject_asymmetric(ds: Dataset, rate: float, seed: int,
-                      mapping: dict[int, int] | None = None) -> Dataset:
-    """Flip a rate-fraction of each class along its mapping edge."""
+def inject_asymmetric(ds: Dataset, rate: float, seed: int) -> Dataset:
+    """Flip a rate-fraction of each class to the class with the nearest mean."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
-    if mapping is None:
-        if ds.mixture is None:
-            raise ValueError("no mapping given and no mixture to derive one")
-        mapping = nearest_class_mapping(ds.mixture)
-    for src, dst in mapping.items():
-        if src == dst:
-            raise ValueError(f"mapping sends class {src} to itself")
+    if ds.mixture is None:
+        raise ValueError("asymmetric noise needs the mixture's class means")
+    mapping = nearest_class_mapping(ds.mixture)
     out = ds.copy()
     if rate == 0.0:
         return out
@@ -292,8 +272,7 @@ def inject_pmd(ds: Dataset, noise_type: int, level: float, seed: int) -> Dataset
 
 
 def inject_hybrid(ds: Dataset, pmd_type: int, pmd_level: float, extra: str,
-                  extra_level: float, seed: int,
-                  mapping: dict[int, int] | None = None) -> Dataset:
+                  extra_level: float, seed: int) -> Dataset:
     """Feature-dependent noise first, then the feature-independent overlay."""
     r = np.random.default_rng(np.random.SeedSequence(seed))
     s1, s2 = (int(v) for v in r.integers(0, 2 ** 62, size=2))
@@ -301,7 +280,7 @@ def inject_hybrid(ds: Dataset, pmd_type: int, pmd_level: float, extra: str,
     if extra == "symmetric":
         return inject_symmetric(mid, extra_level, s2)
     if extra == "asymmetric":
-        return inject_asymmetric(mid, extra_level, s2, mapping)
+        return inject_asymmetric(mid, extra_level, s2)
     raise ValueError(f"unknown overlay kind {extra!r}")
 
 
@@ -375,13 +354,16 @@ def load_dataset(path) -> Dataset:
         feats = np.frombuffer(read_exact(fh, 8 * n * d, path), dtype="<f8").reshape(n, d).copy()
         obs = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
         clean = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
-        mixture = None
         if flags & _FLAG_MIXTURE:
             means = np.frombuffer(read_exact(fh, 8 * C * d, path), dtype="<f8").reshape(C, d).copy()
             (sigma,) = struct.unpack("<d", read_exact(fh, 8, path))
             priors = np.frombuffer(read_exact(fh, 8 * C, path), dtype="<f8").copy()
-            mixture = GaussianMixtureSpec(means, sigma, priors)
-    return Dataset(feats, obs, clean, int(C), mixture)
+    try:  # labels out of range, or an invalid mixture
+        mixture = (GaussianMixtureSpec(means, sigma, priors)
+                   if flags & _FLAG_MIXTURE else None)
+        return Dataset(feats, obs, clean, int(C), mixture)
+    except ValueError as e:
+        raise CorruptArtifact(f"{path}: {e}") from e
 
 
 def export_csv(path, ds: Dataset) -> None:

@@ -16,6 +16,9 @@ from . import biasgen
 from .biasgen import BiasSpec, Dataset
 
 VARIANTS = ("cmwnet", "cmwnet-sl", "erm", "mwnet", "meta-test")
+_SL_DEFAULTS = {"alpha_te": 0.9, "beta_wa": 0.99, "gamma": 1.0}
+# the keys each schedule kind reads besides "kind"
+_SCHEDULE_KEYS = {"piecewise": {"milestones", "gamma"}, "decay": {"c"}}
 
 
 class ConfigError(ValueError):
@@ -90,9 +93,12 @@ class TrainConfig:
     meta_labels: str = "observed"          # or "pseudo" (soft-label variant)
     schedule: dict = field(default_factory=lambda: {
         "kind": "piecewise", "milestones": [0.6, 0.8], "gamma": 0.1})
-    sl: dict = field(default_factory=lambda: {
-        "alpha_te": 0.9, "beta_wa": 0.99, "gamma": 1.0})
+    sl: dict = field(default_factory=lambda: dict(_SL_DEFAULTS))
     checkpoint: str | None = None          # Theta* source for meta-test
+
+    def __post_init__(self):
+        if isinstance(self.sl, dict):      # omitted keys take their defaults
+            self.sl = {**_SL_DEFAULTS, **self.sl}
 
     def validate(self, model: ModelConfig):
         if self.variant not in VARIANTS:
@@ -112,8 +118,34 @@ class TrainConfig:
             raise ConfigError("train.theta_optimizer must be 'adam' or 'sgd'")
         if self.meta_labels not in ("observed", "pseudo"):
             raise ConfigError("train.meta_labels must be 'observed' or 'pseudo'")
-        if self.schedule.get("kind") not in ("piecewise", "decay"):
+        sched = self.schedule
+        if not isinstance(sched, dict) or sched.get("kind") not in _SCHEDULE_KEYS:
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")
+        _check_keys("train.schedule", sched, {"kind"} | _SCHEDULE_KEYS[sched["kind"]])
+        milestones = sched.get("milestones", [])
+        if not isinstance(milestones, list) or not all(map(_is_number, milestones)):
+            raise ConfigError("train.schedule.milestones must be a list of numbers")
+        for key in ("gamma", "c"):
+            if key in sched and not _is_number(sched[key]):
+                raise ConfigError(f"train.schedule.{key} must be a number")
+        if not isinstance(self.sl, dict):
+            raise ConfigError("train.sl must be a mapping")
+        _check_keys("train.sl", self.sl, set(_SL_DEFAULTS))
+        for key in ("alpha_te", "beta_wa"):
+            if not (_is_number(self.sl[key]) and 0.0 <= self.sl[key] < 1.0):
+                raise ConfigError(f"train.sl.{key} must be in [0, 1)")
+        if not (_is_number(self.sl["gamma"]) and self.sl["gamma"] > 0):
+            raise ConfigError("train.sl.gamma must be positive")
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_keys(name: str, mapping: dict, allowed: set) -> None:
+    bad = set(mapping) - allowed
+    if bad:
+        raise ConfigError(f"unknown key(s) in {name}: {sorted(bad)}")
 
 
 @dataclass

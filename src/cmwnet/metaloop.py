@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .biasgen import Dataset
+from .config import ConfigError
 from .models import Classifier, WeightNet
 from .numkit import (Adam, SgdMomentum, flatten, softmax, softmax_xent,
                      spawn_rngs, unflatten_like)
@@ -106,7 +107,8 @@ class VirtualStepCache:
     v: np.ndarray            # (r,) raw head weights
     dv: np.ndarray           # (r, PTheta) d v_j / d Theta
     alpha: float
-    theta_flat: np.ndarray   # Theta snapshot, staleness guard
+    wnet: WeightNet          # the net the step was taken with
+    theta_flat: np.ndarray   # its Theta at that time, staleness guard
 
 
 def _step_grads(f: StepFactors, v: np.ndarray) -> list[np.ndarray]:
@@ -134,7 +136,7 @@ def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float):
         raise FloatingPointError("non-finite gradient in virtual step")
     clf_hat = clf.copy()
     clf_hat.set_flat(clf_hat.get_flat() - alpha * step)
-    return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet.get_flat())
+    return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet, wnet.get_flat())
 
 
 def _real_step(clf: Classifier, optimizer, wnet: WeightNet, f: StepFactors,
@@ -164,16 +166,16 @@ def virtual_step(clf: Classifier, wnet: WeightNet, x: np.ndarray,
 
 
 def hypergrad(cache: VirtualStepCache, clf_hat: Classifier,
-              meta_x: np.ndarray, meta_targets: np.ndarray,
-              wnet: WeightNet | None = None):
+              meta_x: np.ndarray, meta_targets: np.ndarray):
     """Analytic gradient of the meta loss w.r.t. Theta through the one-step
     update, as a flat vector, plus the meta loss value at w_hat.
 
     Each weighted row contributes the alignment between its gradient and
     the meta batch's mean gradient at w_hat, times the weight's Theta
-    sensitivity (quotient rule in normalized mode).
+    sensitivity (quotient rule in normalized mode). Raises RuntimeError if
+    the weighting net changed since the virtual step.
     """
-    if wnet is not None and not np.array_equal(wnet.get_flat(), cache.theta_flat):
+    if not np.array_equal(cache.wnet.get_flat(), cache.theta_flat):
         raise RuntimeError("stale cache: Theta changed since the virtual step")
     meta_loss, gbar = clf_hat.mean_grad(meta_x, meta_targets)
     f = cache.factors
@@ -254,22 +256,24 @@ def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
     """Soft-label step factors from one forward pass on the mixup batch.
 
     Per sample the step's logit gradient is
-      lam (p - z_a + vA (z_a - y_a)) + (1-lam) (p - z_b + vB (z_b - y_b)).
-    The backward pass is linear in it, so the rows scaled by vA and vB
-    (2n of them, one per mixup partner) carry lam (z_a - y_a) and
-    (1-lam) (z_b - y_b), and the remainder is the fixed part.
+      lam (p - z_a + vA (z_a - y_a)) + (1-lam) (p - z_b + vB (z_b - y_b)),
+    and the step is its mean over the n samples. The backward pass is
+    linear in it, so the rows scaled by vA and vB (2n of them, one per
+    mixup partner) carry lam (z_a - y_a) / n and (1-lam) (z_b - y_b) / n,
+    and the remainder is the fixed part.
     """
     acts, pre = clf.forward_cached(x_mix)
     logits = acts[-1]
+    n, C = logits.shape
     loss_a, _ = softmax_xent(logits, y_a)
     loss_b, _ = softmax_xent(logits, y_b)
     p = softmax(logits)
-    fixed_deltas = clf.backward(pre, lam * (p - z_a) + (1.0 - lam) * (p - z_b))
+    fixed_deltas = clf.backward(
+        pre, (lam * (p - z_a) + (1.0 - lam) * (p - z_b)) / n)
     fixed = ([a.T @ d for a, d in zip(acts, fixed_deltas)]
              + [d.sum(axis=0) for d in fixed_deltas])
-    C = logits.shape[1]
     rows = np.concatenate([lam * (z_a - _onehot(y_a, C)),
-                           (1.0 - lam) * (z_b - _onehot(y_b, C))])
+                           (1.0 - lam) * (z_b - _onehot(y_b, C))]) / n
     deltas = clf.backward([np.concatenate([z, z]) for z in pre], rows)
     return StepFactors([np.concatenate([a, a]) for a in acts[:-1]], deltas,
                        np.concatenate([loss_a, loss_b]),
@@ -282,7 +286,7 @@ def sl_virtual_step(clf: Classifier, wnet: WeightNet, x_mix: np.ndarray,
                     lam: float, alpha: float):
     """Virtual step of the soft-label objective on a mixup batch.
 
-    Per sample the descent direction is
+    The descent direction is the batch mean of
       lam   * [ vA * dCE(y_a) + (1-vA) * dCE(z_a) ]
     + (1-lam) * [ vB * dCE(y_b) + (1-vB) * dCE(z_b) ],
     with vA = head(loss against y_a), vB = head(loss against y_b), both
@@ -424,7 +428,7 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
         fam = kmeans_1d(query_ds.class_counts(), wnet.K, restarts=10,
                         rng=rng_kmeans)
         if fam.K != wnet.K:
-            raise ValueError(
+            raise ConfigError(
                 f"weight net has {wnet.K} heads but query clustering yielded "
                 f"{fam.K} families")
     clf = Classifier.init([query_ds.d] + list(cfg.model.hidden) + [query_ds.C],

@@ -42,8 +42,7 @@ def weight_curve(wnet: WeightNet, loss_grid: np.ndarray) -> np.ndarray:
     return wnet.forward(grid).T  # (K, G)
 
 
-def loss_histogram(ds: Dataset, clf: Classifier, bins: int = 50,
-                   max_loss: float | None = None):
+def loss_histogram(ds: Dataset, clf: Classifier, bins: int = 50):
     """Per-class loss histograms split into clean and noisy samples.
 
     Returns (edges [bins+1], clean_counts [C x bins], noisy_counts [C x bins]).
@@ -51,17 +50,14 @@ def loss_histogram(ds: Dataset, clf: Classifier, bins: int = 50,
     if bins < 1:
         raise ValueError("bins must be >= 1")
     losses = clf.losses(ds.features, ds.observed_labels)
-    hi = max_loss if max_loss is not None else float(losses.max())
-    edges = np.linspace(0.0, max(hi, 1e-12), bins + 1)
+    edges = np.linspace(0.0, max(float(losses.max()), 1e-12), bins + 1)
     clean_counts = np.zeros((ds.C, bins), dtype=np.int64)
     noisy_counts = np.zeros((ds.C, bins), dtype=np.int64)
     noisy = ds.noisy_mask()
     for c in range(ds.C):
         sel = ds.observed_labels == c
-        clean_counts[c] = np.histogram(
-            np.clip(losses[sel & ~noisy], edges[0], edges[-1]), bins=edges)[0]
-        noisy_counts[c] = np.histogram(
-            np.clip(losses[sel & noisy], edges[0], edges[-1]), bins=edges)[0]
+        clean_counts[c] = np.histogram(losses[sel & ~noisy], bins=edges)[0]
+        noisy_counts[c] = np.histogram(losses[sel & noisy], bins=edges)[0]
     return edges, clean_counts, noisy_counts
 
 

@@ -1,9 +1,8 @@
 """The two fixed architectures and their hand-derived gradients.
 
 Classifier: softmax MLP f(x; w) with ReLU hidden layers.
-Weighting net: shared 1 -> H ReLU hidden layer feeding K sigmoid heads,
-gated by a one-hot over task families (selected by nearest class-size
-center), so each sample receives the weight of its family's head.
+Weighting net: shared 1 -> H ReLU hidden layer feeding K sigmoid heads;
+each sample receives the weight of its task family's head.
 """
 
 from __future__ import annotations
@@ -141,21 +140,7 @@ class Classifier:
 
 
 # ---------------------------------------------------------------------------
-# task-family gating
-
-
-def nearest_family(count: float, centers: np.ndarray) -> int:
-    """Index of the nearest center; ties broken toward the smaller center."""
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.size == 0:
-        raise ValueError("empty center list")
-    return int(np.argmin(np.abs(centers - count)))
-
-
-def family_onehot(count: float, centers: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(centers))
-    out[nearest_family(count, centers)] = 1.0
-    return out
+# weighting net
 
 
 class WeightNet:
@@ -253,13 +238,6 @@ class WeightNet:
     def weight(self, losses: np.ndarray, fam: np.ndarray) -> np.ndarray:
         """The v of weight_and_grad, without forming dv."""
         return self._gated(losses, fam)[-1]
-
-
-def cmw_weight(loss: float, count: float, wnet: WeightNet, centers: np.ndarray):
-    """Weight of one sample plus its gradient w.r.t. the weight-net params."""
-    fam = nearest_family(count, centers)
-    v, dv = wnet.weight_and_grad(np.array([loss]), np.array([fam]))
-    return float(v[0]), dv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +342,21 @@ def load_checkpoint(path) -> Checkpoint:
                                   f"the checkpoint ({e!r})") from e
 
 
+def _check_shapes(arrays: dict[str, np.ndarray], expected: dict) -> None:
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"array {name} has shape {arrays[name].shape}, "
+                             f"expected {shape}")
+
+
 def _checkpoint_from(arrays: dict[str, np.ndarray], sidecar: dict) -> Checkpoint:
     sizes = sidecar["classifier_sizes"]
     n_layers = len(sizes) - 1
+    expected = {}
+    for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        expected[f"clf_W_{i}"] = (d_in, d_out)
+        expected[f"clf_b_{i}"] = (d_out,)
+    _check_shapes(arrays, expected)
     clf = Classifier(
         sizes,
         [arrays[f"clf_W_{i}"] for i in range(n_layers)],
@@ -374,6 +364,9 @@ def _checkpoint_from(arrays: dict[str, np.ndarray], sidecar: dict) -> Checkpoint
     )
     wnet = None
     if sidecar.get("weightnet"):
+        H, K = sidecar["weightnet"]["hidden"], sidecar["weightnet"]["K"]
+        _check_shapes(arrays, {"wn_W1": (1, H), "wn_b1": (H,),
+                               "wn_W2": (H, K), "wn_b2": (K,)})
         wnet = WeightNet(arrays["wn_W1"], arrays["wn_b1"], arrays["wn_W2"],
                          arrays["wn_b2"], sidecar["weightnet"]["loss_clamp"])
     centers = None

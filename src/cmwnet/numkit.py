@@ -14,11 +14,6 @@ import os
 import numpy as np
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    """Deterministic generator (PCG64); same seed gives the same stream."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """n independent deterministic child generators derived from one seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
@@ -44,19 +39,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid_grad_from_value(s):
-    """Derivative given the forward value s = sigmoid(x)."""
-    return s * (1.0 - s)
-
-
-def affine_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if x.shape[1] != W.shape[0] or W.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"affine shape mismatch: x {x.shape}, W {W.shape}, b {b.shape}"
-        )
-    return x @ W + b
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +96,10 @@ def xent(logits: np.ndarray, targets: np.ndarray):
 class SgdMomentum:
     """SGD with classical momentum and optional decoupled-from-nothing L2."""
 
-    kind = "sgd-momentum"
-
     def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.step_count = 0
         self.buffers: list[np.ndarray] | None = None
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
@@ -135,7 +114,6 @@ class SgdMomentum:
             buf *= self.momentum
             buf += d
             p -= self.lr * buf
-        self.step_count += 1
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -146,8 +124,6 @@ class SgdMomentum:
 
 class Adam:
     """Adam with bias correction; weight decay added to the gradient."""
-
-    kind = "adam"
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0):

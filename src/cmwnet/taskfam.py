@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import nearest_family
-
 
 @dataclass
 class FamilyIndex:
@@ -27,7 +25,10 @@ class FamilyIndex:
 
 def assign_family(count: float, centers: np.ndarray) -> int:
     """Nearest center index; exact midpoint ties go to the smaller center."""
-    return nearest_family(count, centers)
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.size == 0:
+        raise ValueError("empty center list")
+    return int(np.argmin(np.abs(centers - count)))
 
 
 def _lloyd(counts: np.ndarray, centers: np.ndarray, max_iter: int = 100):

@@ -7,8 +7,8 @@ import pytest
 import yaml
 
 from cmwnet import cli
-from cmwnet.biasgen import load_dataset
-from cmwnet.models import load_checkpoint
+from cmwnet.biasgen import load_dataset, save_dataset
+from cmwnet.models import load_checkpoint, read_arrays, write_arrays
 
 
 def write_cfg(tmp_path, name="cfg.yaml", **overrides):
@@ -84,6 +84,15 @@ class TestTrain:
         assert ck.centers is not None
         assert any(k.startswith("theta_") for k in ck.arrays)
 
+    def test_partial_sl_takes_defaults(self, tmp_path):
+        cfg = write_cfg(tmp_path, train={"variant": "cmwnet-sl",
+                                         "sl": {"gamma": 2.0}})
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        snap = yaml.safe_load((out / "snapshot.yaml").read_text())
+        assert snap["train"]["sl"] == {"alpha_te": 0.9, "beta_wa": 0.99,
+                                       "gamma": 2.0}
+
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
         monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
@@ -99,6 +108,40 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("train, field", [
+        ({"sl": {"gama": 2.0}}, "train.sl"),
+        ({"sl": {"alpha_te": 1.0}}, "train.sl.alpha_te"),
+        ({"schedule": {"kind": "piecewise", "milestone": [0.5]}},
+         "train.schedule"),
+        ({"schedule": {"kind": "piecewise", "milestones": 0.5}},
+         "train.schedule.milestones"),
+        ({"schedule": {"kind": "decay", "c": "fast"}}, "train.schedule.c"),
+    ])
+    def test_config_error_names_field(self, tmp_path, capsys, train, field):
+        cfg = write_cfg(tmp_path, train=train)
+        code = cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert field in err[0]
+
+    def test_head_count_mismatch_is_config_error(self, tmp_path, capsys):
+        # a balanced target has one class size, so one family for two heads
+        src_cfg = write_cfg(tmp_path, "src.yaml", model={"K": 2})
+        src = tmp_path / "src"
+        assert cli.main(["train", "--config", str(src_cfg),
+                         "--out", str(src)]) == 0
+        dst_cfg = write_cfg(tmp_path, "dst.yaml", dataset={"bias": []})
+        capsys.readouterr()
+        code = cli.main(["meta-test", "--config", str(dst_cfg),
+                         "--out", str(tmp_path / "dst"),
+                         "--checkpoint", str(src / "checkpoint.ckpt")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "2 heads" in err[0]
 
     def test_io_error_missing_config(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "absent.yaml"),
@@ -119,6 +162,19 @@ class TestExitCodes:
                              + data[16:])
         elif keep == "name":  # first byte of a checkpoint's first array name
             path.write_bytes(data[:16] + b"\xff" + data[17:])
+        elif keep in ("clf-shape", "wn-shape"):  # arrays that do not chain
+            arrays = read_arrays(path)
+            name = "clf_W_0" if keep == "clf-shape" else "wn_W2"
+            arrays[name] = np.zeros((arrays[name].shape[0],
+                                     arrays[name].shape[1] + 1))
+            write_arrays(path, arrays)
+        elif keep in ("label", "priors"):  # a dataset its loader must refuse
+            ds = load_dataset(path)
+            if keep == "label":
+                ds.observed_labels[0] = ds.C
+            else:
+                ds.mixture.priors = 2.0 * ds.mixture.priors
+            save_dataset(path, ds)
         else:
             path.write_bytes(data[:keep])
         return path
@@ -132,7 +188,8 @@ class TestExitCodes:
             assert "truncated" in err[0]
 
     @pytest.mark.parametrize("keep", [6, 100, -1, "magic", "version", "name",
-                                      "sidecar-json", "sidecar-key"])
+                                      "sidecar-json", "sidecar-key",
+                                      "clf-shape", "wn-shape"])
     def test_truncated_checkpoint(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         src = tmp_path / "src"
@@ -154,7 +211,7 @@ class TestExitCodes:
         self.assert_io_failure(code, capsys, bad, keep)
 
     @pytest.mark.parametrize("keep", [20, 100, -1, "magic", "version",
-                                      "length"])
+                                      "length", "label", "priors"])
     def test_truncated_dataset(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"

@@ -102,8 +102,7 @@ class TestLossHistogram:
         ds = make_gaussian_classes(3, 2, 20, 5.0, 1.0, 0)
         clf = Classifier.init([2, 3], rng)
         clf.set_flat(np.zeros(clf.n_params))
-        edges, clean, noisy = loss_histogram(ds, clf, bins=10,
-                                             max_loss=2 * np.log(3.0))
+        edges, clean, noisy = loss_histogram(ds, clf, bins=10)
         assert clean.sum() + noisy.sum() == ds.n
         occupied = np.count_nonzero(clean.sum(axis=0) + noisy.sum(axis=0))
         assert occupied == 1

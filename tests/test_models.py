@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cmwnet import numkit
-from cmwnet.models import (Classifier, WeightNet, cmw_weight, family_onehot,
-                           load_checkpoint, nearest_family, read_arrays,
+from cmwnet.models import (Classifier, WeightNet, load_checkpoint, read_arrays,
                            save_checkpoint, write_arrays)
+from cmwnet.taskfam import assign_family
 from conftest import random_batch, tiny_classifier, tiny_weightnet
 
 
@@ -101,22 +101,36 @@ class TestClassifierGradients:
         assert rel.max() < 1e-5
 
 
+def cmw_weight(loss, count, wn, centers):
+    """Weight of one sample whose class has `count` samples, and its Theta
+    gradient: the head of the class's family (taskfam.assign_family) at
+    the sample's loss, as training gates it."""
+    fam = np.array([assign_family(count, centers)])
+    v, dv = wn.weight_and_grad(np.array([loss]), fam)
+    return float(v[0]), dv[0]
+
+
 class TestFamilyGating:
-    def test_nearest_center(self):
-        np.testing.assert_array_equal(
-            family_onehot(60, np.array([5.0, 50.0, 500.0])), [0, 1, 0])
+    """A class's size picks the head that weights its samples."""
 
-    def test_single_center(self):
-        np.testing.assert_array_equal(family_onehot(123, np.array([7.0])), [1])
+    def test_nearest_center(self, rng):
+        wn = tiny_weightnet(rng, K=3)
+        w, _ = cmw_weight(0.8, 60, wn, np.array([5.0, 50.0, 500.0]))
+        assert abs(w - wn.forward(np.array([0.8]))[0, 1]) < 1e-14
 
-    def test_midpoint_tie_goes_to_smaller_center(self):
-        assert nearest_family(15, np.array([10.0, 20.0])) == 0
-        np.testing.assert_array_equal(
-            family_onehot(15, np.array([10.0, 20.0])), [1, 0])
+    def test_single_center(self, rng):
+        wn = tiny_weightnet(rng, K=1)
+        w, _ = cmw_weight(0.8, 123, wn, np.array([7.0]))
+        assert abs(w - wn.forward(np.array([0.8]))[0, 0]) < 1e-14
 
-    def test_empty_centers(self):
+    def test_midpoint_tie_goes_to_smaller_center(self, rng):
+        wn = tiny_weightnet(rng, K=2)
+        w, _ = cmw_weight(0.8, 15, wn, np.array([10.0, 20.0]))
+        assert abs(w - wn.forward(np.array([0.8]))[0, 0]) < 1e-14
+
+    def test_empty_centers(self, rng):
         with pytest.raises(ValueError):
-            nearest_family(10, np.array([]))
+            cmw_weight(0.8, 10, tiny_weightnet(rng, K=1), np.array([]))
 
 
 class TestWeightNet:
