@@ -47,20 +47,29 @@ def _dataset_fingerprint(cfg: ExperimentConfig) -> dict:
             "test_seed": cfg.test.seed}
 
 
-def run(config_path, out: str, seed: int | None = None) -> Path:
-    """Execute one experiment: build data, train, persist all artifacts."""
-    cfg = load_config(config_path)
-    if seed is not None:
-        cfg.seed = seed
-    cfg.validate()
+def _load(args) -> ExperimentConfig:
+    """The config named by --config, with --seed applied."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    return cfg
+
+
+def _materialize(cfg: ExperimentConfig, out: str):
+    """Write the snapshot and both datasets; returns (dir, train, test)."""
     out_dir = _resolve_out(out)
     save_config(out_dir / "snapshot.yaml", cfg)
-
     train_ds = build_train_dataset(cfg)
     test_ds = build_test_dataset(cfg)
     biasgen.save_dataset(out_dir / "train.cmwd", train_ds)
     biasgen.save_dataset(out_dir / "test.cmwd", test_ds)
+    return out_dir, train_ds, test_ds
 
+
+def run(cfg: ExperimentConfig, out: str) -> Path:
+    """Execute one experiment from a resolved config: build data, train,
+    persist all artifacts."""
+    out_dir, train_ds, test_ds = _materialize(cfg, out)
     variant = cfg.train.variant
     if variant == "meta-test":
         ckpt = models.load_checkpoint(cfg.train.checkpoint)
@@ -133,42 +142,25 @@ def compare(dir_a, dir_b, out_path=None):
 
 
 def _cmd_generate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    out_dir = _resolve_out(args.out)
-    save_config(out_dir / "snapshot.yaml", cfg)
-    train_ds = build_train_dataset(cfg)
-    test_ds = build_test_dataset(cfg)
-    biasgen.save_dataset(out_dir / "train.cmwd", train_ds)
-    biasgen.save_dataset(out_dir / "test.cmwd", test_ds)
+    out_dir, train_ds, _ = _materialize(_load(args), args.out)
     biasgen.export_csv(out_dir / "train.csv", train_ds)
     print(f"wrote datasets to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_train(args) -> int:
-    out_dir = run(args.config, args.out, args.seed)
+    """train, and meta-test: train under the checkpoint's frozen net."""
+    cfg = _load(args)
+    if args.command == "meta-test":
+        cfg.train.variant = "meta-test"
+        if args.checkpoint:
+            cfg.train.checkpoint = args.checkpoint
+        cfg.validate()
+    out_dir = run(cfg, args.out)
     with open(out_dir / "report.json") as fh:
         report = json.load(fh)
     print(f"{report['variant']}: test accuracy {report['accuracy']:.4f} "
           f"({out_dir})")
-    return EXIT_OK
-
-
-def _cmd_meta_test(args) -> int:
-    cfg = load_config(args.config)
-    cfg.train.variant = "meta-test"
-    if args.checkpoint:
-        cfg.train.checkpoint = args.checkpoint
-    cfg.validate()
-    out_dir = _resolve_out(args.out)
-    tmp = out_dir / "resolved.yaml"
-    save_config(tmp, cfg)
-    run(tmp, str(out_dir), args.seed)
-    with open(out_dir / "report.json") as fh:
-        report = json.load(fh)
-    print(f"meta-test: test accuracy {report['accuracy']:.4f} ({out_dir})")
     return EXIT_OK
 
 
@@ -224,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint providing the frozen weighting net")
-    p.set_defaults(func=_cmd_meta_test)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compare", help="paired accuracy deltas of two runs")
     p.add_argument("run_a")

@@ -8,6 +8,7 @@ seed) alone.
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -17,8 +18,9 @@ from .biasgen import BiasSpec, Dataset
 
 VARIANTS = ("cmwnet", "cmwnet-sl", "erm", "mwnet", "meta-test")
 _SL_DEFAULTS = {"alpha_te": 0.9, "beta_wa": 0.99, "gamma": 1.0}
-# the keys each schedule kind reads besides "kind"
-_SCHEDULE_KEYS = {"piecewise": {"milestones", "gamma"}, "decay": {"c"}}
+# the keys each schedule kind reads besides "kind", with their defaults
+_SCHEDULE_DEFAULTS = {"piecewise": {"milestones": [0.6, 0.8], "gamma": 0.1},
+                      "decay": {}}
 
 
 class ConfigError(ValueError):
@@ -91,14 +93,16 @@ class TrainConfig:
     meta_per_class: int = 10
     mixup_meta: bool = True
     meta_labels: str = "observed"          # or "pseudo" (soft-label variant)
-    schedule: dict = field(default_factory=lambda: {
-        "kind": "piecewise", "milestones": [0.6, 0.8], "gamma": 0.1})
-    sl: dict = field(default_factory=lambda: dict(_SL_DEFAULTS))
+    schedule: dict = field(default_factory=lambda: {"kind": "piecewise"})
+    sl: dict = field(default_factory=dict)
     checkpoint: str | None = None          # Theta* source for meta-test
 
     def __post_init__(self):
-        if isinstance(self.sl, dict):      # omitted keys take their defaults
-            self.sl = {**_SL_DEFAULTS, **self.sl}
+        # omitted keys take their defaults
+        self.sl = {**_SL_DEFAULTS, **self.sl}
+        self.schedule = {
+            **deepcopy(_SCHEDULE_DEFAULTS.get(self.schedule.get("kind"), {})),
+            **self.schedule}
 
     def validate(self, model: ModelConfig):
         if self.variant not in VARIANTS:
@@ -119,33 +123,50 @@ class TrainConfig:
         if self.meta_labels not in ("observed", "pseudo"):
             raise ConfigError("train.meta_labels must be 'observed' or 'pseudo'")
         sched = self.schedule
-        if not isinstance(sched, dict) or sched.get("kind") not in _SCHEDULE_KEYS:
+        if sched.get("kind") not in _SCHEDULE_DEFAULTS:
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")
-        _check_keys("train.schedule", sched, {"kind"} | _SCHEDULE_KEYS[sched["kind"]])
+        _check_keys("train.schedule", sched,
+                    {"kind"} | set(_SCHEDULE_DEFAULTS[sched["kind"]]))
         milestones = sched.get("milestones", [])
-        if not isinstance(milestones, list) or not all(map(_is_number, milestones)):
+        if not _type_ok(milestones, "list[float]"):
             raise ConfigError("train.schedule.milestones must be a list of numbers")
-        for key in ("gamma", "c"):
-            if key in sched and not _is_number(sched[key]):
-                raise ConfigError(f"train.schedule.{key} must be a number")
-        if not isinstance(self.sl, dict):
-            raise ConfigError("train.sl must be a mapping")
+        if "gamma" in sched and not _type_ok(sched["gamma"], "float"):
+            raise ConfigError("train.schedule.gamma must be a number")
         _check_keys("train.sl", self.sl, set(_SL_DEFAULTS))
         for key in ("alpha_te", "beta_wa"):
-            if not (_is_number(self.sl[key]) and 0.0 <= self.sl[key] < 1.0):
+            if not (_type_ok(self.sl[key], "float") and 0.0 <= self.sl[key] < 1.0):
                 raise ConfigError(f"train.sl.{key} must be in [0, 1)")
-        if not (_is_number(self.sl["gamma"]) and self.sl["gamma"] > 0):
+        if not (_type_ok(self.sl["gamma"], "float") and self.sl["gamma"] > 0):
             raise ConfigError("train.sl.gamma must be positive")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
+          "dict": dict}
 
 
-def _check_keys(name: str, mapping: dict, allowed: set) -> None:
-    bad = set(mapping) - allowed
-    if bad:
-        raise ConfigError(f"unknown key(s) in {name}: {sorted(bad)}")
+def _type_ok(value, annotation: str) -> bool:
+    """Whether a YAML value fits a schema annotation such as 'list[int]' or
+    'float | None'; an int is a float, a bool is no number."""
+    if annotation.endswith(" | None"):
+        return value is None or _type_ok(value, annotation[:-len(" | None")])
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(
+            _type_ok(v, annotation[5:-1]) for v in value)
+    return isinstance(value, _KINDS[annotation]) and (
+        annotation == "bool" or not isinstance(value, bool))
+
+
+def _check_type(name: str, value, annotation: str) -> None:
+    if not _type_ok(value, annotation):
+        raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
+
+
+def _check_keys(name: str, mapping: dict, keys: set) -> None:
+    """The mapping must have exactly `keys`."""
+    for what, bad in (("unknown", set(mapping) - keys),
+                      ("missing", keys - set(mapping))):
+        if bad:
+            raise ConfigError(f"{what} key(s) in {name}: {sorted(bad)}")
 
 
 @dataclass
@@ -185,8 +206,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         bad = set(section) - valid
         if bad:
             raise ConfigError(f"unknown field(s) in {name!r}: {sorted(bad)}")
+        for key, value in section.items():
+            _check_type(f"{name}.{key}", value,
+                        cls.__dataclass_fields__[key].type)
         kwargs[name] = cls(**section)
-    cfg = ExperimentConfig(seed=data.get("seed", 0), **kwargs)
+    seed = data.get("seed", 0)
+    _check_type("seed", seed, "int")
+    cfg = ExperimentConfig(seed=seed, **kwargs)
     cfg.validate()
     return cfg
 

@@ -317,16 +317,15 @@ class TrainState:
 
 def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
                  total_epochs: int) -> float:
-    kind = sched.get("kind", "piecewise")
+    kind = sched["kind"]
     if kind == "piecewise":
         lr = base_lr
-        for frac in sched.get("milestones", [0.6, 0.8]):
+        for frac in sched["milestones"]:
             if epoch >= frac * total_epochs:
-                lr *= sched.get("gamma", 0.1)
+                lr *= sched["gamma"]
         return lr
     if kind == "decay":
-        c = sched.get("c", base_lr)
-        return min(c, c / np.sqrt(max(t, 1)))
+        return min(base_lr, base_lr / np.sqrt(max(t, 1)))
     raise ValueError(f"unknown schedule kind {kind!r}")
 
 
@@ -388,11 +387,12 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     state.final_report.
     """
     variant = cfg.train.variant
-    rng_init_clf, rng_init_wn, rng_order, rng_meta, rng_kmeans, rng_sl = \
+    # stream 4 is unused: dropping it would change rng_sl's seed
+    rng_init_clf, rng_init_wn, rng_order, rng_meta, _, rng_sl = \
         spawn_rngs(seed, 6)
 
     K = 1 if variant == "mwnet" else cfg.model.K
-    fam = kmeans_1d(ds.class_counts(), K, restarts=10, rng=rng_kmeans)
+    fam = kmeans_1d(ds.class_counts(), K)
     clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng_init_clf)
     wnet = None
     theta_opt = None
@@ -422,11 +422,10 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
 
     wnet=None (or a weight net pinned at 1 upstream) reduces to plain ERM.
     """
-    rng_init_clf, rng_order, rng_kmeans = spawn_rngs(seed, 3)
+    rng_init_clf, rng_order = spawn_rngs(seed, 2)
     fam = None
     if wnet is not None:
-        fam = kmeans_1d(query_ds.class_counts(), wnet.K, restarts=10,
-                        rng=rng_kmeans)
+        fam = kmeans_1d(query_ds.class_counts(), wnet.K)
         if fam.K != wnet.K:
             raise ConfigError(
                 f"weight net has {wnet.K} heads but query clustering yielded "
@@ -499,7 +498,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                         state.theta_opt.lr = (
                             _schedule_lr(tc.schedule, tc.theta_lr, epoch,
                                          state.t, tc.epochs)
-                            if tc.schedule.get("kind") == "decay"
+                            if tc.schedule["kind"] == "decay"
                             else tc.theta_lr)
                         meta_update(wnet, state.theta_opt, hg)
                         hg_norm = float(np.linalg.norm(hg))

@@ -290,26 +290,15 @@ def save_checkpoint(path, clf: Classifier, wnet: WeightNet | None = None,
                     meta: dict | None = None) -> None:
     """Binary parameter file plus a JSON sidecar describing the architecture."""
     path = str(path)
-    arrays: dict[str, np.ndarray] = {}
-    for i, w in enumerate(clf.weights):
-        arrays[f"clf_W_{i}"] = w
-    for i, b in enumerate(clf.biases):
-        arrays[f"clf_b_{i}"] = b
-    sidecar = {
-        "classifier_sizes": clf.sizes,
-        "weightnet": None,
-        "centers": None,
-    }
+    arrays = {f"clf_W_{i}": w for i, w in enumerate(clf.weights)}
+    arrays.update({f"clf_b_{i}": b for i, b in enumerate(clf.biases)})
+    sidecar = {"classifier_sizes": clf.sizes, "weightnet": None,
+               "centers": None}
     if wnet is not None:
-        arrays["wn_W1"] = wnet.W1
-        arrays["wn_b1"] = wnet.b1
-        arrays["wn_W2"] = wnet.W2
-        arrays["wn_b2"] = wnet.b2
-        sidecar["weightnet"] = {
-            "hidden": wnet.hidden,
-            "K": wnet.K,
-            "loss_clamp": wnet.loss_clamp,
-        }
+        arrays.update(wn_W1=wnet.W1, wn_b1=wnet.b1, wn_W2=wnet.W2,
+                      wn_b2=wnet.b2)
+        sidecar["weightnet"] = {"hidden": wnet.hidden, "K": wnet.K,
+                                "loss_clamp": wnet.loss_clamp}
     if centers is not None:
         sidecar["centers"] = [float(c) for c in centers]
     if extra_arrays:

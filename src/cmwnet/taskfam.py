@@ -1,4 +1,4 @@
-"""Task-family discovery: 1-D K-means over per-class sample counts.
+"""Task-family discovery: exact 1-D K-means over per-class sample counts.
 
 The cluster centers (ascending) gate the weighting net: each class is
 assigned to the family of its nearest center. Centers are frozen once
@@ -31,49 +31,41 @@ def assign_family(count: float, centers: np.ndarray) -> int:
     return int(np.argmin(np.abs(centers - count)))
 
 
-def _lloyd(counts: np.ndarray, centers: np.ndarray, max_iter: int = 100):
-    """Lloyd iterations to a fixed point. Returns (centers, assignment, wcss)."""
-    for _ in range(max_iter):
-        assign = np.argmin(np.abs(counts[:, None] - centers[None, :]), axis=1)
-        new = centers.copy()
-        for k in range(len(centers)):
-            members = counts[assign == k]
-            if members.size:
-                new[k] = members.mean()
-        if np.array_equal(new, centers):
-            break
-        centers = new
-    assign = np.argmin(np.abs(counts[:, None] - centers[None, :]), axis=1)
-    wcss = float(((counts - centers[assign]) ** 2).sum())
-    return centers, assign, wcss
-
-
 def kmeans_1d(counts, K: int, restarts: int = 10,
               rng: np.random.Generator | None = None) -> FamilyIndex:
-    """Best-of-`restarts` Lloyd clustering of class sizes; centers ascending.
+    """Exact 1-D k-means of class sizes (Wang & Song 2011); centers ascending.
 
-    If there are fewer distinct count values than K, K is reduced to that
-    number (with a warning) so the balanced case stays well defined.
+    Optimal clusters are contiguous runs of the sorted counts, so a dynamic
+    program finds the minimum WCSS: the best split of the first j counts into
+    k clusters extends a best split of a shorter prefix into k - 1. If there
+    are fewer distinct count values than K, K is reduced to that number (with
+    a warning) so the balanced case stays well defined. `restarts` and `rng`
+    are unused: the result depends on the counts alone.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.size == 0:
         raise ValueError("empty class-count vector")
-    if rng is None:
-        rng = np.random.default_rng(0)
     distinct = np.unique(counts)
     if distinct.size < K:
         warnings.warn(
             f"only {distinct.size} distinct class sizes; reducing K from {K}")
         K = distinct.size
-    best = None
-    for _ in range(max(1, restarts)):
-        init = rng.choice(distinct, size=K, replace=False).astype(np.float64)
-        centers, assign, wcss = _lloyd(counts, np.sort(init))
-        if best is None or wcss < best[2] - 1e-12:
-            best = (centers, assign, wcss)
-    centers, _, _ = best
-    order = np.argsort(centers)
-    centers = centers[order]
+    xs = np.sort(counts)
+    n = xs.size
+
+    def sse(a, b):                      # WCSS of the segment xs[a:b]
+        return float(((xs[a:b] - xs[a:b].mean()) ** 2).sum())
+
+    # best[j]: (WCSS, segment starts) of the best split of xs[:j] into k
+    # segments, for k = 1, 2, ..., K in turn
+    best = [(np.inf, [])] + [(sse(0, j), [0]) for j in range(1, n + 1)]
+    for k in range(2, K + 1):
+        best = [(np.inf, [])] * k + [
+            min((best[i][0] + sse(i, j), best[i][1] + [i])
+                for i in range(k - 1, j))
+            for j in range(k, n + 1)]
+    bounds = best[n][1] + [n]
+    centers = np.array([xs[a:b].mean() for a, b in zip(bounds, bounds[1:])])
     mapping = {c: assign_family(counts[c], centers) for c in range(len(counts))}
     return FamilyIndex(centers=centers, class_to_family=mapping)
 

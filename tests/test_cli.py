@@ -93,6 +93,14 @@ class TestTrain:
         assert snap["train"]["sl"] == {"alpha_te": 0.9, "beta_wa": 0.99,
                                        "gamma": 2.0}
 
+    def test_partial_schedule_takes_defaults(self, tmp_path):
+        cfg = write_cfg(tmp_path, train={"schedule": {"kind": "piecewise"}})
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        snap = yaml.safe_load((out / "snapshot.yaml").read_text())
+        assert snap["train"]["schedule"] == {
+            "kind": "piecewise", "milestones": [0.6, 0.8], "gamma": 0.1}
+
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
         monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
@@ -116,16 +124,48 @@ class TestExitCodes:
          "train.schedule"),
         ({"schedule": {"kind": "piecewise", "milestones": 0.5}},
          "train.schedule.milestones"),
-        ({"schedule": {"kind": "decay", "c": "fast"}}, "train.schedule.c"),
+        ({"schedule": {"kind": "decay", "c": 0.1}}, "train.schedule"),
+        # YAML reads 5e-3 (no dot) as a string
+        ({"theta_lr": "5e-3"}, "train.theta_lr"),
+        ({"epochs": "3"}, "train.epochs"),
+        ({"epochs": 3.0}, "train.epochs"),
+        ({"lr": True}, "train.lr"),
+        ({"mixup_meta": "no"}, "train.mixup_meta"),
+        ({"variant": 1}, "train.variant"),
+        ({"checkpoint": ["a"]}, "train.checkpoint"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, train, field):
-        cfg = write_cfg(tmp_path, train=train)
+        self.assert_config_error(write_cfg(tmp_path, train=train), tmp_path,
+                                 capsys, field)
+
+    @staticmethod
+    def assert_config_error(cfg, tmp_path, capsys, field):
         code = cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert field in err[0]
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"model": {"hidden": [8, "8"]}}, "model.hidden"),
+        ({"model": {"hidden": [True]}}, "model.hidden"),
+        ({"model": {"loss_clamp": "inf"}}, "model.loss_clamp"),
+        ({"dataset": {"C": 4.5}}, "dataset.C"),
+        ({"test": {"seed": None}}, "test.seed"),
+        ({"seed": "0"}, "seed"),
+    ])
+    def test_config_type_error_outside_train(self, tmp_path, capsys,
+                                             overrides, field):
+        self.assert_config_error(write_cfg(tmp_path, **overrides), tmp_path,
+                                 capsys, field)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1,
+                                         "lr": 1, "theta_lr": 0},
+                        model={"loss_clamp": None})
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 0
 
     def test_head_count_mismatch_is_config_error(self, tmp_path, capsys):
         # a balanced target has one class size, so one family for two heads
@@ -250,6 +290,10 @@ class TestMetaTestCommand:
         assert code == 0
         report = json.loads((dst / "report.json").read_text())
         assert report["variant"] == "meta-test"
+        snap = yaml.safe_load((dst / "snapshot.yaml").read_text())
+        assert snap["train"]["variant"] == "meta-test"
+        assert snap["train"]["checkpoint"] == str(src / "checkpoint.ckpt")
+        assert not (dst / "resolved.yaml").exists()
 
     def test_erm_checkpoint_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})

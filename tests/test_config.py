@@ -45,6 +45,15 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict({"train": {"schedule": {"kind": "cosine"}}})
 
+    def test_schedule_set_after_construction_needs_every_key(self):
+        # __post_init__ fills omitted keys only when the config is built
+        cfg = ExperimentConfig()
+        cfg.train.schedule = {"kind": "piecewise"}
+        with pytest.raises(ConfigError, match="missing key.*milestones"):
+            cfg.validate()
+        cfg.train.schedule = {"kind": "decay"}
+        cfg.validate()
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_identity(self, tmp_path):

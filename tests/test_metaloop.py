@@ -720,6 +720,17 @@ class TestSchedule:
         assert metaloop._schedule_lr(sched, 0.1, 0, 1, 10) == 0.1
         assert abs(metaloop._schedule_lr(sched, 0.1, 0, 100, 10) - 0.01) < 1e-12
 
+    def test_decay_theta_rate_follows_theta_lr(self):
+        sched = {"kind": "decay"}
+        assert abs(metaloop._schedule_lr(sched, 0.005, 0, 100, 10)
+                   - 0.0005) < 1e-15
+        cfg = desk_cfg(epochs=2, warmup_epochs=0, theta_lr=0.005)
+        cfg.train.schedule = sched
+        st = meta_train(build_train_dataset(cfg), cfg, seed=0)
+        # the last meta step ran at iteration t - 1
+        assert st.theta_opt.lr == pytest.approx(0.005 / np.sqrt(st.t - 1),
+                                                rel=1e-15)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             metaloop._schedule_lr({"kind": "cosine"}, 0.1, 0, 0, 10)

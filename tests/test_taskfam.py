@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cmwnet.numkit import spawn_rngs
 from cmwnet.taskfam import (FamilyIndex, assign_family, brute_force_wcss,
                             kmeans_1d)
 
@@ -45,10 +46,10 @@ class TestKmeans:
         fam = kmeans_1d(counts, 3, rng=rng)
         assert np.all(np.diff(fam.centers) > 0) or fam.K == 1
 
-    def test_lloyd_fixed_point(self, rng):
+    def test_nearest_center_member_means(self, rng):
         counts = rng.integers(1, 1000, size=8).astype(float)
         fam = kmeans_1d(counts, 3, rng=rng)
-        # reassign then recenter changes nothing
+        # a Lloyd fixed point: reassign then recenter changes nothing
         for i, c in enumerate(counts):
             assert fam.class_to_family[i] == assign_family(c, fam.centers)
         for k in range(fam.K):
@@ -72,6 +73,30 @@ class TestKmeans:
             fam = kmeans_1d(counts, K, restarts=10, rng=rng)
             best = brute_force_wcss(counts, fam.K)
             assert wcss(counts, fam) <= best + 1e-9
+
+    def test_longtail_benchmark_counts_optimal(self):
+        # the long-tail benchmark's class sizes (imbalance 100, 2000 per
+        # class); from the k-means streams of training seeds 14, 20 and 21
+        # a best-of-10 Lloyd search ends at {2000, 1199} {719, 431}
+        # {259..20}, 62% above the optimal WCSS
+        counts = [2000, 1199, 719, 431, 259, 155, 93, 56, 34, 20]
+        best = brute_force_wcss(counts, 3)
+        for seed in (14, 20, 21):
+            rng_kmeans = spawn_rngs(seed, 6)[4]
+            fam = kmeans_1d(counts, 3, rng=rng_kmeans)
+            assert abs(wcss(counts, fam) - best) <= 1e-9
+        np.testing.assert_array_equal(
+            [fam.class_to_family[c] for c in range(10)],
+            [2, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+
+    def test_independent_of_rng(self):
+        counts = [3, 11, 47, 250, 251, 900, 12, 13]
+        ref = kmeans_1d(counts, 3)
+        for seed in range(5):
+            fam = kmeans_1d(counts, 3, restarts=1,
+                            rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(fam.centers, ref.centers)
+            assert fam.class_to_family == ref.class_to_family
 
 
 class TestAssignFamily:
