@@ -24,8 +24,8 @@ import numpy as np
 from .biasgen import Dataset
 from .config import ConfigError
 from .models import Classifier, WeightNet
-from .numkit import (Adam, SgdMomentum, flatten, softmax, softmax_xent,
-                     spawn_rngs, unflatten_like)
+from .numkit import (Adam, SgdMomentum, softmax, softmax_xent, spawn_rngs,
+                     unflatten_like)
 from .taskfam import FamilyIndex, kmeans_1d
 
 
@@ -131,11 +131,12 @@ def _factors(clf: Classifier, x: np.ndarray, targets: np.ndarray,
 
 def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float):
     v, dv = wnet.weight_and_grad(f.losses, f.fams)
-    step = flatten(_step_grads(f, v))
-    if not np.all(np.isfinite(step)):
+    grads = _step_grads(f, v)
+    if not all(np.all(np.isfinite(g)) for g in grads):
         raise FloatingPointError("non-finite gradient in virtual step")
-    clf_hat = clf.copy()
-    clf_hat.set_flat(clf_hat.get_flat() - alpha * step)
+    hat = [p - alpha * g for p, g in zip(clf.params, grads)]
+    n_layers = len(clf.weights)
+    clf_hat = Classifier(clf.sizes, hat[:n_layers], hat[n_layers:])
     return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet, wnet.get_flat())
 
 
@@ -450,6 +451,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     """
     from .metrics import evaluate  # local import, metrics also imports models
 
+    cfg.validate()
     clf, wnet, tc = state.clf, state.wnet, cfg.train
     K = state.fam.K if state.fam is not None else 1
     fams_all = None
@@ -486,7 +488,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                 if state.z is None:
                     f = _factors(clf, x, y, fams, cfg.model.normalize)
                 else:
-                    x, f = _sl_batch(state, idx, x, y, fams, tc.sl, rng_sl)
+                    f = _sl_batch(state, idx, x, y, fams, tc.sl, rng_sl)
                 if state.theta_opt is not None:
                     m = min(tc.meta_batch_size, meta_pool.m)
                     midx = rng_meta.choice(meta_pool.m, size=m, replace=False)
@@ -503,7 +505,8 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                         meta_update(wnet, state.theta_opt, hg)
                         hg_norm = float(np.linalg.norm(hg))
                 v = _real_step(clf, state.clf_opt, wnet, f, alpha)
-                train_loss = float(clf.losses(x, y).mean())
+                # the pre-step batch mean CE, as erm_update returns it
+                train_loss = f.losses[:idx.size].mean()
                 fam_w = _family_means(v[:idx.size], fams, K)
             state.logger.log(iteration=state.t, epoch=epoch,
                              train_loss=float(train_loss), meta_loss=meta_loss,
@@ -528,7 +531,7 @@ def _sl_batch(state: TrainState, idx, x, y, fams, slc: dict, rng):
     """Soft-label bookkeeping of one batch, then its step factors.
 
     Refreshes the EMA classifier and the batch's ensembled targets, draws
-    the mixup pairing and returns (mixed inputs, factors).
+    the mixup pairing and returns the factors on the mixed inputs.
     """
     ema_update(state.w_wa, state.clf, slc["beta_wa"])
     p = state.w_wa.forward(x)
@@ -538,5 +541,5 @@ def _sl_batch(state: TrainState, idx, x, y, fams, slc: dict, rng):
     perm = rng.permutation(idx.size)
     x_mix = lam * x + (1.0 - lam) * x[perm]
     z = state.z[idx]
-    return x_mix, _sl_factors(state.clf, x_mix, y, z, y[perm], z[perm],
-                              fams, fams[perm], lam)
+    return _sl_factors(state.clf, x_mix, y, z, y[perm], z[perm], fams,
+                       fams[perm], lam)

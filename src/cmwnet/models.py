@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .numkit import (CorruptArtifact, read_exact, relu, relu_grad, sigmoid,
-                     softmax, xent)
+from .numkit import CorruptArtifact, read_exact, relu, sigmoid, softmax, xent
 
 DEFAULT_HIDDEN = 100
 DEFAULT_LOSS_CLAMP = 50.0
@@ -70,32 +69,46 @@ class Classifier:
 
     # -- forward / backward ------------------------------------------------
 
+    def _check_dim(self, x: np.ndarray) -> None:
+        if x.shape[1] != self.sizes[0]:
+            raise ValueError(f"feature dim {x.shape[1]} != {self.sizes[0]}")
+
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping every layer: (acts, pre), where acts[l] is the
         input of layer l (acts[-1] the logits) and pre[l] its pre-activation."""
-        if x.shape[1] != self.sizes[0]:
-            raise ValueError(f"feature dim {x.shape[1]} != {self.sizes[0]}")
+        self._check_dim(x)
         acts = [x]
         pre = []
         h = x
         last = len(self.weights) - 1
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W + b
+            z = h @ W
+            z += b
             pre.append(z)
             h = z if li == last else relu(z)
             acts.append(h)
         return acts, pre
 
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """The logits of forward_cached, keeping no layer (in-place bias and
+        ReLU on each layer's fresh matmul output)."""
+        self._check_dim(x)
+        h = x
+        last = len(self.weights) - 1
+        for li, (W, b) in enumerate(zip(self.weights, self.biases)):
+            h = h @ W
+            h += b
+            if li != last:
+                np.maximum(h, 0.0, out=h)
+        return h
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1."""
-        acts, _ = self.forward_cached(x)
-        return softmax(acts[-1])
+        return softmax(self.logits(x))
 
     def losses(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample CE losses; targets may be int labels or soft rows."""
-        acts, _ = self.forward_cached(x)
-        loss, _ = xent(acts[-1], targets)
-        return loss
+        return xent(self.logits(x), targets)[0]
 
     def backward(self, pre, dlogits) -> list[np.ndarray]:
         """Batched backward from per-row logit gradients: deltas[l][j] is
@@ -105,7 +118,8 @@ class Classifier:
         for li in range(len(self.weights) - 1, -1, -1):
             deltas[li] = delta
             if li > 0:
-                delta = (delta @ self.weights[li].T) * relu_grad(pre[li - 1])
+                # ReLU derivative, taken as 0 at exactly 0
+                delta = (delta @ self.weights[li].T) * (pre[li - 1] > 0)
         return deltas
 
     def mean_grad(self, x: np.ndarray, targets: np.ndarray):
@@ -204,35 +218,36 @@ class WeightNet:
         return sigmoid(h @ self.W2 + self.b2)
 
     def _gated(self, losses: np.ndarray, fam: np.ndarray):
-        """Forward pass through each sample's own head:
-        (clamped losses, fam, z1, h, v) with v_j = head[fam_j](loss_j)."""
+        """Forward pass through each sample's own head: (clamped losses, fam,
+        z1, h, W2[:, fam], v) with v_j = head[fam_j](loss_j)."""
         ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
         fam = np.atleast_1d(np.asarray(fam))
         z1 = ell[:, None] @ self.W1 + self.b1           # (n, H)
         h = relu(z1)
-        z2 = np.einsum("nh,hn->n", h, self.W2[:, fam]) + self.b2[fam]
-        return ell, fam, z1, h, sigmoid(z2)
+        w2 = self.W2[:, fam]                            # (H, n)
+        z2 = np.einsum("nh,hn->n", h, w2) + self.b2[fam]
+        return ell, fam, z1, h, w2, sigmoid(z2)
 
     def weight_and_grad(self, losses: np.ndarray, fam: np.ndarray):
         """Per-sample gated weight v_j = head[fam_j](loss_j) and dv_j/dTheta.
 
         Returns (v [n], dv [n x PTheta]) with dv rows flattened in params order.
         """
-        ell, fam, z1, h, v = self._gated(losses, fam)
+        ell, fam, z1, h, w2, v = self._gated(losses, fam)
         n = ell.shape[0]
-        H = self.hidden
+        H, K = self.hidden, self.K
         # backward for the selected head only: in the W2 (H x K) and b2
         # blocks of row j only column fam_j is nonzero
         dz2 = v * (1.0 - v)                             # (n,)
-        dh = dz2[:, None] * self.W2[:, fam].T           # (n, H)
-        dz1 = dh * relu_grad(z1)
+        dz1 = dz2[:, None] * w2.T * (z1 > 0)            # (n, H)
         rows = np.arange(n)
         dv = np.zeros((n, self.n_params))
         dv[:, :H] = dz1 * ell[:, None]                  # W1 (1 x H)
         dv[:, H:2 * H] = dz1                            # b1
-        dv[rows[:, None], 2 * H + np.arange(H) * self.K + fam[:, None]] = \
+        # a view of the W2 block, so the indexed write lands in dv
+        dv[:, 2 * H:2 * H + H * K].reshape(n, H, K)[rows, :, fam] = \
             dz2[:, None] * h
-        dv[rows, 2 * H + H * self.K + fam] = dz2
+        dv[rows, 2 * H + H * K + fam] = dz2
         return v, dv
 
     def weight(self, losses: np.ndarray, fam: np.ndarray) -> np.ndarray:

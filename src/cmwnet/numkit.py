@@ -27,11 +27,6 @@ def relu(x):
     return np.maximum(x, 0.0)
 
 
-def relu_grad(x):
-    # derivative at exactly 0 is defined as 0
-    return (x > 0).astype(np.float64)
-
-
 def sigmoid(x):
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -62,9 +57,10 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= C:
         raise IndexError(f"label out of range [0, {C})")
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1))
-    loss = logsumexp - z[np.arange(n), labels]
-    grad = softmax(logits)
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    loss = np.log(s[:, 0]) - z[np.arange(n), labels]
+    grad = e / s  # softmax(logits), from the same exponentials
     grad[np.arange(n), labels] -= 1.0
     return loss, grad
 
@@ -75,10 +71,10 @@ def soft_xent(logits: np.ndarray, targets: np.ndarray):
     loss_i = -targets_i . log softmax(logits_i), grad_i = softmax_i - targets_i.
     """
     z = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - logsumexp
-    loss = -(targets * logp).sum(axis=1)
-    grad = softmax(logits) - targets
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    loss = -(targets * (z - np.log(s))).sum(axis=1)
+    grad = e / s - targets
     return loss, grad
 
 

@@ -72,6 +72,54 @@ class TestVirtualStep:
                          np.zeros(0, dtype=int), 0.1, True)
 
 
+class TestVirtualStepOracle:
+    """_virtual builds w_hat layer by layer; it equals the update of the
+    flat parameter vector bit for bit."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_plain_factors(self, normalize):
+        rng = np.random.default_rng(99)
+        for _ in range(5):
+            clf = Classifier.init([5, 9, 7, 4], rng)
+            wnet = WeightNet.init(3, rng, hidden=6)
+            n = int(rng.integers(2, 12))
+            x, y = random_batch(rng, n, 5, 4)
+            fams = rng.integers(0, 3, size=n)
+            self.check(clf, wnet, metaloop._factors(clf, x, y, fams,
+                                                    normalize))
+
+    def test_soft_label_factors(self):
+        rng = np.random.default_rng(98)
+        for _ in range(5):
+            clf = Classifier.init([5, 9, 7, 4], rng)
+            wnet = WeightNet.init(3, rng, hidden=6)
+            n = int(rng.integers(2, 12))
+            x, y = random_batch(rng, n, 5, 4)
+            z = rng.dirichlet(np.ones(4), size=n)
+            perm = rng.permutation(n)
+            fams = rng.integers(0, 3, size=n)
+            self.check(clf, wnet, metaloop._sl_factors(
+                clf, x, y, z, y[perm], z[perm], fams, fams[perm],
+                float(rng.uniform())))
+
+    @staticmethod
+    def check(clf, wnet, f, alpha=0.1):
+        before = clf.get_flat()
+        clf_hat, cache = metaloop._virtual(clf, wnet, f, alpha)
+        step = numkit.flatten(metaloop._step_grads(f, cache.v))
+        assert np.array_equal(clf_hat.get_flat(), before - alpha * step)
+        assert np.array_equal(clf.get_flat(), before)
+
+    def test_nonfinite_step_rejected(self, rng):
+        clf = tiny_classifier(rng)
+        x, y = random_batch(rng, 5, 3, 4)
+        f = metaloop._factors(clf, x, y, np.zeros(5, dtype=np.int64), True)
+        f.deltas[-1][2, 1] = np.inf
+        with pytest.raises(FloatingPointError, match="virtual step"), \
+                np.errstate(invalid="ignore"):
+            metaloop._virtual(clf, tiny_weightnet(rng), f, 0.1)
+
+
 class TestHypergrad:
     def test_orthogonal_meta_gradient_zero(self, rng):
         clf = tiny_classifier(rng)
@@ -605,6 +653,58 @@ class TestMetaTrain:
         weighted = sum(r["epoch"] >= cfg.train.warmup_epochs
                        for r in state.history)
         assert weighted == 8 and len(calls) == weighted
+
+    @pytest.mark.parametrize("variant", ["cmwnet", "cmwnet-sl", "mwnet"])
+    def test_losses_only_for_meta_set_and_report(self, variant, monkeypatch):
+        """Weighted rows log the loss their step already has: full-data
+        Classifier.losses runs once per weighted epoch (the meta-set
+        ranking) and once for the final report, never per iteration."""
+        calls = []
+        losses = Classifier.losses
+
+        def counted(self, x, targets):
+            calls.append(x.shape[0])
+            return losses(self, x, targets)
+
+        monkeypatch.setattr(Classifier, "losses", counted)
+        cfg = desk_cfg(variant, epochs=3)
+        ds = build_train_dataset(cfg)
+        state = meta_train(ds, cfg, test_ds=build_test_dataset(cfg), seed=0)
+        assert len(state.history) == 12
+        weighted_epochs = cfg.train.epochs - cfg.train.warmup_epochs
+        assert calls == [ds.n] * (weighted_epochs + 1)
+
+        calls.clear()
+        meta_test(state.wnet, ds, desk_cfg(epochs=3), seed=1)
+        assert calls == [ds.n]
+
+    def test_train_loss_is_pre_step_batch_mean(self):
+        """With no warmup the first row is weighted; its train_loss is the
+        mean CE of the first batch at the initial classifier, the same
+        figure the erm variant logs for that batch."""
+        cfg = desk_cfg(epochs=1, warmup_epochs=0)
+        ds = build_train_dataset(cfg)
+        clf0 = meta_train(ds, desk_cfg(epochs=0), seed=3).clf
+        rng_order = numkit.spawn_rngs(3, 6)[2]
+        idx = rng_order.permutation(ds.n)[:cfg.train.batch_size]
+        want = float(clf0.losses(ds.features[idx],
+                                 ds.observed_labels[idx]).mean())
+        weighted = meta_train(ds, cfg, seed=3).history[0]
+        assert not np.isnan(weighted["hypergrad_norm"])
+        assert weighted["train_loss"] == want
+        erm = meta_train(ds, desk_cfg("erm", epochs=1), seed=3).history[0]
+        assert erm["train_loss"] == want
+
+    def test_config_validated(self):
+        """A config edited after it was built is checked before training,
+        so a schedule without its keys is a ConfigError, not a KeyError."""
+        cfg = desk_cfg(epochs=1)
+        ds = build_train_dataset(cfg)
+        cfg.train.schedule = {"kind": "piecewise"}
+        with pytest.raises(ConfigError, match="milestones"):
+            meta_train(ds, cfg, seed=0)
+        with pytest.raises(ConfigError, match="milestones"):
+            meta_test(None, ds, cfg, seed=0)
 
     def test_sl_variant_runs_and_is_deterministic(self):
         cfg = desk_cfg("cmwnet-sl", epochs=3)

@@ -47,6 +47,40 @@ class TestClassifierForward:
             clf.forward(rng.normal(size=(2, 4)))
 
 
+class TestLogitsOracle:
+    """Classifier.logits keeps no layer but computes forward_cached's
+    logits bit for bit; forward and losses are built on it."""
+
+    @pytest.mark.parametrize("sizes", [[3, 4], [5, 9, 7, 4], [8, 128, 128, 10]])
+    def test_equals_forward_cached(self, sizes):
+        rng = np.random.default_rng(7)
+        clf = Classifier.init(sizes, rng)
+        x = 3.0 * rng.normal(size=(37, sizes[0]))
+        x_before = x.copy()
+        logits = clf.logits(x)
+        acts, _ = clf.forward_cached(x)
+        assert np.array_equal(logits, acts[-1])
+        assert np.array_equal(x, x_before)
+        # both equal the out-of-place layer-by-layer construction
+        h = x
+        for li, (W, b) in enumerate(zip(clf.weights, clf.biases)):
+            h = h @ W + b
+            if li < len(clf.weights) - 1:
+                h = np.maximum(h, 0.0)
+        assert np.array_equal(logits, h)
+
+    def test_forward_and_losses_use_it(self, rng):
+        clf = Classifier.init([5, 9, 7, 4], rng)
+        x, y = random_batch(rng, 20, 5, 4)
+        targets = rng.dirichlet(np.ones(4), size=20)
+        logits = clf.forward_cached(x)[0][-1]
+        assert np.array_equal(clf.forward(x), numkit.softmax(logits))
+        assert np.array_equal(clf.losses(x, y),
+                              numkit.softmax_xent(logits, y)[0])
+        assert np.array_equal(clf.losses(x, targets),
+                              numkit.soft_xent(logits, targets)[0])
+
+
 class TestClassifierGradients:
     def test_mean_grad_matches_finite_difference(self, rng):
         clf = tiny_classifier(rng)
@@ -193,6 +227,35 @@ class TestWeightNet:
         a = wn.forward(np.array([10.0]))
         b = wn.forward(np.array([500.0]))
         np.testing.assert_array_equal(a, b)
+
+
+class TestWeightJacobianOracle:
+    """weight_and_grad's dv, filled through a 3-D view of the W2 block,
+    equals the 2-D fancy-index construction it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("K,H,n", [(1, 8, 5), (3, 6, 40), (4, 100, 200)])
+    def test_equals_two_d_index_fill(self, K, H, n):
+        rng = np.random.default_rng(11)
+        wn = WeightNet.init(K, rng, hidden=H)
+        losses = rng.exponential(2.0, size=n)
+        losses[:3] = [0.0, 80.0, 1.0]              # 80 is clamped
+        fam = rng.integers(0, K, size=n)
+        v, dv = wn.weight_and_grad(losses, fam)
+        assert np.array_equal(v, wn.weight(losses, fam))
+
+        ell = np.minimum(losses, wn.loss_clamp)
+        z1 = ell[:, None] @ wn.W1 + wn.b1
+        h = np.maximum(z1, 0.0)
+        dz2 = v * (1.0 - v)
+        dz1 = dz2[:, None] * wn.W2[:, fam].T * (z1 > 0).astype(np.float64)
+        rows = np.arange(n)
+        want = np.zeros((n, wn.n_params))
+        want[:, :H] = dz1 * ell[:, None]
+        want[:, H:2 * H] = dz1
+        want[rows[:, None], 2 * H + np.arange(H) * K + fam[:, None]] = \
+            dz2[:, None] * h
+        want[rows, 2 * H + H * K + fam] = dz2
+        assert np.array_equal(dv, want)
 
 
 class TestCmwWeight:

@@ -13,6 +13,15 @@ def affine(x, W, b):
     return acts[-1]
 
 
+def relu_grad(z):
+    """The ReLU derivative as Classifier.backward applies it: the delta of
+    a one-hidden-unit net with unit weights and pre-activation z."""
+    clf = Classifier([1, 1, 1], [np.ones((1, 1)), np.ones((1, 1))],
+                     [np.zeros(1), np.zeros(1)])
+    deltas = clf.backward([np.array([[z]]), None], np.ones((1, 1)))
+    return float(deltas[0][0, 0])
+
+
 class TestAffine:
     def test_identity_weights(self):
         x = np.array([[1.0, 2.0]])
@@ -49,10 +58,10 @@ class TestActivations:
 
     def test_relu_negative(self):
         assert numkit.relu(np.array(-3.0)) == 0.0
-        assert numkit.relu_grad(np.array(-3.0)) == 0.0
+        assert relu_grad(-3.0) == 0.0
 
     def test_relu_grad_zero_at_origin(self):
-        assert numkit.relu_grad(np.array(0.0)) == 0.0
+        assert relu_grad(0.0) == 0.0
 
     def test_sigmoid_extreme_inputs_finite(self):
         vals = numkit.sigmoid(np.array([-1000.0, 1000.0]))
@@ -68,7 +77,7 @@ class TestActivations:
             assert abs(s * (1.0 - s) - fd[0]) < 1e-6
             fd = numkit.finite_diff_grad(
                 lambda t: float(numkit.relu(t[0])), np.array([abs(x)]))
-            assert abs(numkit.relu_grad(np.array(abs(x))) - fd[0]) < 1e-6
+            assert abs(relu_grad(abs(x)) - fd[0]) < 1e-6
 
 
 class TestSoftmaxXent:
@@ -126,6 +135,35 @@ class TestSoftmaxXent:
         _, grad = numkit.soft_xent(logits[None, :], targets[None, :])
         fd = numkit.finite_diff_grad(f, logits)
         assert np.abs(grad[0] - fd).max() < 1e-6
+
+
+class TestFusedSoftmaxOracle:
+    """softmax_xent and soft_xent take the softmax from the exponentials of
+    their loss; both outputs equal the separate computations bit for bit."""
+
+    @pytest.mark.parametrize("n,C", [(1, 2), (17, 10), (200, 7)])
+    def test_hard_labels(self, n, C):
+        rng = np.random.default_rng(3)
+        logits = 20.0 * rng.normal(size=(n, C))
+        y = rng.integers(0, C, size=n)
+        loss, grad = numkit.softmax_xent(logits, y)
+        onehot = np.zeros((n, C))
+        onehot[np.arange(n), y] = 1.0
+        assert np.array_equal(grad, numkit.softmax(logits) - onehot)
+        z = logits - logits.max(axis=1, keepdims=True)
+        assert np.array_equal(
+            loss, np.log(np.exp(z).sum(axis=1)) - z[np.arange(n), y])
+
+    @pytest.mark.parametrize("n,C", [(1, 2), (17, 10), (200, 7)])
+    def test_soft_targets(self, n, C):
+        rng = np.random.default_rng(4)
+        logits = 20.0 * rng.normal(size=(n, C))
+        targets = rng.dirichlet(np.ones(C), size=n)
+        loss, grad = numkit.soft_xent(logits, targets)
+        assert np.array_equal(grad, numkit.softmax(logits) - targets)
+        z = logits - logits.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        assert np.array_equal(loss, -(targets * logp).sum(axis=1))
 
 
 class TestOptimizers:
