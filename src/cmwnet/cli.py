@@ -29,6 +29,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 OUT_ROOT_ENV = "CMWNET_OUT_ROOT"
+# the losses at which weight_curve.csv samples every head, in run and curves
+LOSS_GRID = np.linspace(0.0, 10.0, 101)
 
 
 def _resolve_out(out: str) -> Path:
@@ -94,14 +96,13 @@ def run(cfg: ExperimentConfig, out: str) -> Path:
                            state.wnet, centers, extra_arrays=extra,
                            meta={"variant": variant, "iterations": state.t})
 
-    report = metrics.evaluate(state.clf, test_ds)
+    report = state.test_report
     metrics.write_confusion_csv(out_dir / "confusion.csv", report)
     if state.wnet is not None:
-        grid = np.linspace(0.0, 10.0, 101)
         metrics.write_weight_curve_csv(out_dir / "weight_curve.csv",
-                                       state.wnet, grid)
+                                       state.wnet, LOSS_GRID)
         metrics.write_histogram_csv(out_dir / "histogram.csv", train_ds,
-                                    state.clf)
+                                    state.train_losses)
     summary = dict(state.final_report)
     summary.update({
         "variant": variant,
@@ -180,13 +181,13 @@ def _cmd_curves(args) -> int:
     out_dir = _resolve_out(args.out)
     if ckpt.weightnet is None:
         raise ConfigError(f"checkpoint {args.checkpoint} has no weighting net")
-    grid = np.linspace(0.0, args.grid_max, args.grid_points)
     metrics.write_weight_curve_csv(out_dir / "weight_curve.csv",
-                                   ckpt.weightnet, grid)
+                                   ckpt.weightnet, LOSS_GRID)
     if args.dataset:
         ds = biasgen.load_dataset(args.dataset)
-        metrics.write_histogram_csv(out_dir / "histogram.csv", ds,
-                                    ckpt.classifier)
+        metrics.write_histogram_csv(
+            out_dir / "histogram.csv", ds,
+            ckpt.classifier.losses(ds.features, ds.observed_labels))
     print(f"wrote curves to {out_dir}")
     return EXIT_OK
 
@@ -228,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dataset", default=None, help="dataset file for histograms")
-    p.add_argument("--grid-max", type=float, default=10.0)
-    p.add_argument("--grid-points", type=int, default=101)
     p.set_defaults(func=_cmd_curves)
     return parser
 

@@ -64,7 +64,6 @@ class ModelConfig:
     hidden: list[int] = field(default_factory=lambda: [64, 64])
     K: int = 3
     H: int = 100
-    normalize: bool = True
     loss_clamp: float | None = 50.0
 
     def validate(self):
@@ -87,12 +86,10 @@ class TrainConfig:
     weight_decay: float = 5e-4
     theta_lr: float = 1e-3
     theta_weight_decay: float = 1e-4
-    theta_optimizer: str = "adam"
     t_meta: int = 1
     warmup_epochs: int = 5
     meta_per_class: int = 10
     mixup_meta: bool = True
-    meta_labels: str = "observed"          # or "pseudo" (soft-label variant)
     schedule: dict = field(default_factory=lambda: {"kind": "piecewise"})
     sl: dict = field(default_factory=dict)
     checkpoint: str | None = None          # Theta* source for meta-test
@@ -118,10 +115,6 @@ class TrainConfig:
             raise ConfigError("train batch sizes must be >= 1")
         if self.t_meta < 1:
             raise ConfigError("train.t_meta must be >= 1")
-        if self.theta_optimizer not in ("adam", "sgd"):
-            raise ConfigError("train.theta_optimizer must be 'adam' or 'sgd'")
-        if self.meta_labels not in ("observed", "pseudo"):
-            raise ConfigError("train.meta_labels must be 'observed' or 'pseudo'")
         sched = self.schedule
         if sched.get("kind") not in _SCHEDULE_DEFAULTS:
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")

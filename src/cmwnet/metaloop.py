@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import metrics
 from .biasgen import Dataset
 from .config import ConfigError
 from .models import Classifier, WeightNet
@@ -43,17 +44,14 @@ class MetaBatch:
         return self.x.shape[0]
 
 
-def build_meta_set(ds: Dataset, clf: Classifier, per_class: int = 10,
-                   mixup: bool = True, rng: np.random.Generator | None = None,
-                   pseudo_targets: np.ndarray | None = None) -> MetaBatch:
+def build_meta_set(ds: Dataset, clf: Classifier, per_class: int,
+                   mixup: bool, rng: np.random.Generator) -> MetaBatch:
     """Class-balanced trusted batch drawn from the training data.
 
     Picks the per_class samples with the smallest current cross-entropy
     loss per observed class. With mixup, pairs inside the batch are
     convexly combined (features and soft labels).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     losses = clf.losses(ds.features, ds.observed_labels)
     picked = []
     for c in range(ds.C):
@@ -67,11 +65,7 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int = 10,
         picked.append(take)
     idx = np.concatenate(picked)
     x = ds.features[idx].copy()
-    if pseudo_targets is not None:
-        targets = pseudo_targets[idx].copy()
-    else:
-        targets = np.zeros((idx.size, ds.C))
-        targets[np.arange(idx.size), ds.observed_labels[idx]] = 1.0
+    targets = _onehot(ds.observed_labels[idx], ds.C)
     if mixup:
         perm = rng.permutation(idx.size)
         lam = rng.beta(1.0, 1.0, size=idx.size)[:, None]
@@ -307,13 +301,15 @@ class TrainState:
     wnet: WeightNet | None
     fam: FamilyIndex | None
     clf_opt: SgdMomentum
-    theta_opt: Adam | SgdMomentum | None
+    theta_opt: Adam | None
     w_wa: Classifier | None = None
     z: np.ndarray | None = None
     t: int = 0
     history: list[dict] = field(default_factory=list)
     final_report: dict = field(default_factory=dict)
     logger: MetricLogger | None = None
+    test_report: metrics.MetricsReport | None = None  # at the final classifier
+    train_losses: np.ndarray | None = None  # final, if weighted
 
 
 def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
@@ -392,19 +388,15 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     rng_init_clf, rng_init_wn, rng_order, rng_meta, _, rng_sl = \
         spawn_rngs(seed, 6)
 
-    K = 1 if variant == "mwnet" else cfg.model.K
-    fam = kmeans_1d(ds.class_counts(), K)
+    fam = kmeans_1d(ds.class_counts(), cfg.model.K)
     clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng_init_clf)
     wnet = None
     theta_opt = None
     if variant != "erm":
         wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H,
                               loss_clamp=cfg.model.loss_clamp)
-        if cfg.train.theta_optimizer == "adam":
-            theta_opt = Adam(cfg.train.theta_lr,
-                             weight_decay=cfg.train.theta_weight_decay)
-        else:
-            theta_opt = SgdMomentum(cfg.train.theta_lr)
+        theta_opt = Adam(cfg.train.theta_lr,
+                         weight_decay=cfg.train.theta_weight_decay)
     clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,
                           cfg.train.weight_decay)
     state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
@@ -449,8 +441,6 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     if state.theta_opt is set, and stays frozen otherwise. State carrying
     ensembled targets (state.z) takes the soft-label step.
     """
-    from .metrics import evaluate  # local import, metrics also imports models
-
     cfg.validate()
     clf, wnet, tc = state.clf, state.wnet, cfg.train
     K = state.fam.K if state.fam is not None else 1
@@ -464,15 +454,14 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     iters_per_epoch = int(np.ceil(n / batch))
     test_acc = float("nan")
     if test_ds is not None:
-        test_acc = evaluate(clf, test_ds).accuracy
+        state.test_report = metrics.evaluate(clf, test_ds)
+        test_acc = state.test_report.accuracy
 
     for epoch in range(tc.epochs):
         weighted = wnet is not None and epoch >= tc.warmup_epochs
         if weighted and state.theta_opt is not None:
-            pseudo = state.z if tc.meta_labels == "pseudo" else None
             meta_pool = build_meta_set(ds, clf, tc.meta_per_class,
-                                       tc.mixup_meta, rng_meta,
-                                       pseudo_targets=pseudo)
+                                       tc.mixup_meta, rng_meta)
         order = rng_order.permutation(n)
         for it in range(iters_per_epoch):
             idx = order[it * batch:(it + 1) * batch]
@@ -486,7 +475,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
             else:
                 fams = fams_all[idx]
                 if state.z is None:
-                    f = _factors(clf, x, y, fams, cfg.model.normalize)
+                    f = _factors(clf, x, y, fams, True)
                 else:
                     f = _sl_batch(state, idx, x, y, fams, tc.sl, rng_sl)
                 if state.theta_opt is not None:
@@ -513,12 +502,14 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                              test_acc=test_acc, hypergrad_norm=hg_norm, **fam_w)
             state.t += 1
         if test_ds is not None:
-            test_acc = evaluate(clf, test_ds).accuracy
+            state.test_report = metrics.evaluate(clf, test_ds)
+            test_acc = state.test_report.accuracy
 
     state.history = state.logger.rows
     state.final_report = {"test_acc": float(test_acc), "iterations": state.t}
     if wnet is not None:
-        v = wnet.weight(clf.losses(ds.features, ds.observed_labels), fams_all)
+        state.train_losses = clf.losses(ds.features, ds.observed_labels)
+        v = wnet.weight(state.train_losses, fams_all)
         noisy = ds.noisy_mask()
         state.final_report["mean_weight"] = float(v.mean())
         if noisy.any() and (~noisy).any():

@@ -42,14 +42,14 @@ def weight_curve(wnet: WeightNet, loss_grid: np.ndarray) -> np.ndarray:
     return wnet.forward(grid).T  # (K, G)
 
 
-def loss_histogram(ds: Dataset, clf: Classifier, bins: int = 50):
-    """Per-class loss histograms split into clean and noisy samples.
+def loss_histogram(ds: Dataset, losses: np.ndarray, bins: int = 50):
+    """Per-class histograms of the samples' losses (one per row of ds),
+    split into clean and noisy samples.
 
     Returns (edges [bins+1], clean_counts [C x bins], noisy_counts [C x bins]).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    losses = clf.losses(ds.features, ds.observed_labels)
     edges = np.linspace(0.0, max(float(losses.max()), 1e-12), bins + 1)
     clean_counts = np.zeros((ds.C, bins), dtype=np.int64)
     noisy_counts = np.zeros((ds.C, bins), dtype=np.int64)
@@ -75,8 +75,9 @@ def write_weight_curve_csv(path, wnet: WeightNet, loss_grid: np.ndarray) -> None
                             [f"{table[k, j]:.10g}" for k in range(wnet.K)])
 
 
-def write_histogram_csv(path, ds: Dataset, clf: Classifier, bins: int = 50) -> None:
-    edges, clean_counts, noisy_counts = loss_histogram(ds, clf, bins)
+def write_histogram_csv(path, ds: Dataset, losses: np.ndarray,
+                        bins: int = 50) -> None:
+    edges, clean_counts, noisy_counts = loss_histogram(ds, losses, bins)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "bin_lo", "bin_hi", "clean_count", "noisy_count"])

@@ -206,7 +206,7 @@ class WeightNet:
 
     def _clamped(self, losses: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(losses)):
-            raise ValueError("non-finite loss input to weight net")
+            raise FloatingPointError("non-finite loss input to weight net")
         if self.loss_clamp is not None:
             return np.minimum(losses, self.loss_clamp)
         return losses

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import yaml
 
-from cmwnet import cli
+from cmwnet import cli, metrics
 from cmwnet.biasgen import load_dataset, save_dataset
-from cmwnet.models import load_checkpoint, read_arrays, write_arrays
+from cmwnet.models import (Classifier, load_checkpoint, read_arrays,
+                           write_arrays)
 
 
 def write_cfg(tmp_path, name="cfg.yaml", **overrides):
@@ -101,6 +102,28 @@ class TestTrain:
         assert snap["train"]["schedule"] == {
             "kind": "piecewise", "milestones": [0.6, 0.8], "gamma": 0.1}
 
+    def test_final_model_evaluated_once(self, tmp_path, monkeypatch):
+        # the test set is scored before training and after each epoch; the
+        # training set is ranked for each weighted epoch's meta set and
+        # once at the end, and report.json and histogram.csv reuse both
+        cfg = write_cfg(tmp_path, train={"epochs": 3})
+        calls = {"evaluate": 0, "losses": 0}
+        evaluate, losses = metrics.evaluate, Classifier.losses
+
+        def counted_evaluate(clf, ds):
+            calls["evaluate"] += 1
+            return evaluate(clf, ds)
+
+        def counted_losses(clf, x, targets):
+            calls["losses"] += x.shape[0] == 4 * 30
+            return losses(clf, x, targets)
+
+        monkeypatch.setattr(metrics, "evaluate", counted_evaluate)
+        monkeypatch.setattr(Classifier, "losses", counted_losses)
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert calls == {"evaluate": 3 + 1, "losses": 2 + 1}
+
     def test_out_root_env_var(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
         monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
@@ -154,6 +177,10 @@ class TestExitCodes:
         ({"dataset": {"C": 4.5}}, "dataset.C"),
         ({"test": {"seed": None}}, "test.seed"),
         ({"seed": "0"}, "seed"),
+        # removed settings: snapshots that still name them are refused
+        ({"model": {"normalize": True}}, "normalize"),
+        ({"train": {"theta_optimizer": "adam"}}, "theta_optimizer"),
+        ({"train": {"meta_labels": "observed"}}, "meta_labels"),
     ])
     def test_config_type_error_outside_train(self, tmp_path, capsys,
                                              overrides, field):
@@ -182,6 +209,24 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert "2 heads" in err[0]
+
+    def test_nonfinite_loss_is_numeric_failure(self, tmp_path, capsys):
+        src_cfg = write_cfg(tmp_path, "src.yaml", model={"K": 2})
+        src = tmp_path / "src"
+        assert cli.main(["train", "--config", str(src_cfg),
+                         "--out", str(src)]) == 0
+        # features this far apart overflow the classifier's logits
+        dst_cfg = write_cfg(tmp_path, "dst.yaml", model={"K": 2},
+                            dataset={"separation": 1.0e300},
+                            train={"warmup_epochs": 0})
+        capsys.readouterr()
+        code = cli.main(["meta-test", "--config", str(dst_cfg),
+                         "--out", str(tmp_path / "dst"),
+                         "--checkpoint", str(src / "checkpoint.ckpt")])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+        assert "weight net" in err[0]
 
     def test_io_error_missing_config(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "absent.yaml"),
@@ -345,8 +390,9 @@ class TestCurves:
                          "--out", str(cdir),
                          "--dataset", str(out / "train.cmwd")])
         assert code == 0
-        assert (cdir / "weight_curve.csv").exists()
-        assert (cdir / "histogram.csv").exists()
+        # the checkpoint reproduces the run's own figures
+        for name in ("weight_curve.csv", "histogram.csv"):
+            assert (cdir / name).read_bytes() == (out / name).read_bytes()
 
     def test_erm_checkpoint_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})

@@ -97,12 +97,17 @@ class TestWeightCurve:
             weight_curve(wn, np.array([3.0, 1.0]))
 
 
+def observed_losses(ds, clf):
+    return clf.losses(ds.features, ds.observed_labels)
+
+
 class TestLossHistogram:
     def test_uniform_model_single_bin(self, rng):
         ds = make_gaussian_classes(3, 2, 20, 5.0, 1.0, 0)
         clf = Classifier.init([2, 3], rng)
         clf.set_flat(np.zeros(clf.n_params))
-        edges, clean, noisy = loss_histogram(ds, clf, bins=10)
+        edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf),
+                                             bins=10)
         assert clean.sum() + noisy.sum() == ds.n
         occupied = np.count_nonzero(clean.sum(axis=0) + noisy.sum(axis=0))
         assert occupied == 1
@@ -111,7 +116,8 @@ class TestLossHistogram:
         ds = inject_symmetric(make_gaussian_classes(4, 2, 50, 5.0, 1.0, 0),
                               0.3, 1)
         clf = Classifier.init([2, 8, 4], rng)
-        edges, clean, noisy = loss_histogram(ds, clf, bins=20)
+        edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf),
+                                             bins=20)
         assert clean.sum() == int((~ds.noisy_mask()).sum())
         assert noisy.sum() == int(ds.noisy_mask().sum())
 
@@ -119,8 +125,8 @@ class TestLossHistogram:
         ds = inject_symmetric(make_gaussian_classes(3, 2, 40, 5.0, 1.0, 0),
                               0.4, 1)
         clf = Classifier.init([2, 6, 3], rng)
-        edges, clean, noisy = loss_histogram(ds, clf, bins=7)
-        losses = clf.losses(ds.features, ds.observed_labels)
+        losses = observed_losses(ds, clf)
+        edges, clean, noisy = loss_histogram(ds, losses, bins=7)
         noisy_mask = ds.noisy_mask()
         for c in range(3):
             for split, table in ((False, clean), (True, noisy)):
@@ -133,7 +139,7 @@ class TestLossHistogram:
         ds = make_gaussian_classes(3, 2, 5, 5.0, 1.0, 0)
         clf = Classifier.init([2, 3], rng)
         with pytest.raises(ValueError):
-            loss_histogram(ds, clf, bins=0)
+            loss_histogram(ds, observed_losses(ds, clf), bins=0)
 
 
 class TestCsvEmission:
@@ -151,7 +157,7 @@ class TestCsvEmission:
                               0.3, 1)
         clf = Classifier.init([2, 3], rng)
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, ds, clf, bins=4)
+        write_histogram_csv(path, ds, observed_losses(ds, clf), bins=4)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["class", "bin_lo", "bin_hi", "clean_count",

@@ -186,7 +186,7 @@ class TestWeightNet:
 
     def test_nonfinite_loss_rejected(self, rng):
         wn = tiny_weightnet(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(FloatingPointError, match="weight net"):
             wn.forward(np.array([np.inf]))
 
     def test_grad_matches_finite_difference(self, rng):
