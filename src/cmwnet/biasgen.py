@@ -308,6 +308,12 @@ class BiasSpec:
             raise ValueError("level must be in [0, 1]")
         if self.imbalance_factor < 1.0:
             raise ValueError("imbalance_factor must be >= 1")
+        if self.pmd_type not in (1, 2, 3):
+            raise ValueError("pmd_type must be 1, 2 or 3")
+        if self.extra not in ("symmetric", "asymmetric"):
+            raise ValueError(f"unknown overlay kind {self.extra!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def apply(self, ds: Dataset) -> Dataset:
         if self.kind == "longtail":

@@ -54,6 +54,7 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+        cfg.validate()
     return cfg
 
 
@@ -85,16 +86,9 @@ def run(cfg: ExperimentConfig, out: str) -> Path:
                                     seed=cfg.seed)
 
     state.logger.write_csv(out_dir / "metrics.csv")
-    extra = {}
-    if state.clf_opt.buffers is not None:
-        extra.update(state.clf_opt.state_arrays())
-    if state.theta_opt is not None:
-        extra.update({f"theta_{k}": v
-                      for k, v in state.theta_opt.state_arrays().items()})
     centers = state.fam.centers if state.fam is not None else None
     models.save_checkpoint(out_dir / "checkpoint.ckpt", state.clf,
-                           state.wnet, centers, extra_arrays=extra,
-                           meta={"variant": variant, "iterations": state.t})
+                           state.wnet, centers)
 
     report = state.test_report
     metrics.write_confusion_csv(out_dir / "confusion.csv", report)
@@ -236,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # every non-finite value is caught by an explicit check that names
+        # where it happened, so numpy's own warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

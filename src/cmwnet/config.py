@@ -46,7 +46,13 @@ class DatasetConfig:
             raise ConfigError("dataset.n_per_class must be >= 1")
         if self.sigma <= 0:
             raise ConfigError("dataset.sigma must be positive")
+        _check_seed("dataset.seed", self.seed)
+        fields = BiasSpec.__dataclass_fields__
         for i, spec in enumerate(self.bias):
+            for key, value in spec.items():
+                if key in fields:
+                    _check_type(f"dataset.bias[{i}].{key}", value,
+                                fields[key].type)
             try:
                 BiasSpec(**spec)
             except (TypeError, ValueError) as e:
@@ -58,13 +64,17 @@ class TestSetConfig:
     n_per_class: int = 100
     seed: int = 1
 
+    def validate(self):
+        if self.n_per_class < 1:
+            raise ConfigError("test.n_per_class must be >= 1")
+        _check_seed("test.seed", self.seed)
+
 
 @dataclass
 class ModelConfig:
     hidden: list[int] = field(default_factory=lambda: [64, 64])
     K: int = 3
     H: int = 100
-    loss_clamp: float | None = 50.0
 
     def validate(self):
         if self.K < 1:
@@ -115,6 +125,8 @@ class TrainConfig:
             raise ConfigError("train batch sizes must be >= 1")
         if self.t_meta < 1:
             raise ConfigError("train.t_meta must be >= 1")
+        if self.meta_per_class < 1:
+            raise ConfigError("train.meta_per_class must be >= 1")
         sched = self.schedule
         if sched.get("kind") not in _SCHEDULE_DEFAULTS:
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")
@@ -154,6 +166,11 @@ def _check_type(name: str, value, annotation: str) -> None:
         raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
 
 
+def _check_seed(name: str, seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
 def _check_keys(name: str, mapping: dict, keys: set) -> None:
     """The mapping must have exactly `keys`."""
     for what, bad in (("unknown", set(mapping) - keys),
@@ -171,7 +188,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
+        _check_seed("seed", self.seed)
         self.dataset.validate()
+        self.test.validate()
         self.model.validate()
         self.train.validate(self.model)
 
@@ -198,7 +217,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         valid = {f for f in cls.__dataclass_fields__}
         bad = set(section) - valid
         if bad:
-            raise ConfigError(f"unknown field(s) in {name!r}: {sorted(bad)}")
+            raise ConfigError(
+                f"unknown field(s): {sorted(f'{name}.{k}' for k in bad)}")
         for key, value in section.items():
             _check_type(f"{name}.{key}", value,
                         cls.__dataclass_fields__[key].type)
@@ -231,8 +251,11 @@ def build_train_dataset(cfg: ExperimentConfig) -> Dataset:
     dc = cfg.dataset
     ds = biasgen.make_gaussian_classes(dc.C, dc.d, dc.n_per_class,
                                        dc.separation, dc.sigma, dc.seed)
-    for spec in dc.bias:
-        ds = BiasSpec(**spec).apply(ds)
+    for i, spec in enumerate(dc.bias):
+        try:
+            ds = BiasSpec(**spec).apply(ds)
+        except ValueError as e:  # a spec that does not fit the data before it
+            raise ConfigError(f"dataset.bias[{i}]: {e}") from e
     return ds
 
 

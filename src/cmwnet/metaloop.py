@@ -393,8 +393,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     wnet = None
     theta_opt = None
     if variant != "erm":
-        wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H,
-                              loss_clamp=cfg.model.loss_clamp)
+        wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H)
         theta_opt = Adam(cfg.train.theta_lr,
                          weight_decay=cfg.train.theta_weight_decay)
     clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,

@@ -7,9 +7,9 @@ each sample receives the weight of its task family's head.
 
 from __future__ import annotations
 
-import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from . import numkit
 from .numkit import CorruptArtifact, read_exact, relu, sigmoid, softmax, xent
 
 DEFAULT_HIDDEN = 100
-DEFAULT_LOSS_CLAMP = 50.0
+# losses above this reach the weighting net as this value
+LOSS_CLAMP = 50.0
 
 
 def _fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -160,23 +161,22 @@ class Classifier:
 class WeightNet:
     """Loss -> per-family weight net: shared hidden layer, K sigmoid heads."""
 
-    def __init__(self, W1, b1, W2, b2, loss_clamp: float | None = DEFAULT_LOSS_CLAMP):
+    def __init__(self, W1, b1, W2, b2):
         self.W1 = W1  # (1, H)
         self.b1 = b1  # (H,)
         self.W2 = W2  # (H, K)
         self.b2 = b2  # (K,)
-        self.loss_clamp = loss_clamp
 
     @classmethod
-    def init(cls, K: int, rng: np.random.Generator, hidden: int = DEFAULT_HIDDEN,
-             loss_clamp: float | None = DEFAULT_LOSS_CLAMP) -> "WeightNet":
+    def init(cls, K: int, rng: np.random.Generator,
+             hidden: int = DEFAULT_HIDDEN) -> "WeightNet":
         if K < 1:
             raise ValueError("K must be >= 1")
         W1 = _fan_in_uniform(rng, 1, hidden)
         b1 = rng.uniform(-1.0, 1.0, size=hidden)
         W2 = _fan_in_uniform(rng, hidden, K)
         b2 = np.zeros(K)  # heads start near 0.5
-        return cls(W1, b1, W2, b2, loss_clamp)
+        return cls(W1, b1, W2, b2)
 
     @property
     def K(self) -> int:
@@ -202,14 +202,12 @@ class WeightNet:
 
     def copy(self) -> "WeightNet":
         return WeightNet(self.W1.copy(), self.b1.copy(), self.W2.copy(),
-                         self.b2.copy(), self.loss_clamp)
+                         self.b2.copy())
 
     def _clamped(self, losses: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(losses)):
             raise FloatingPointError("non-finite loss input to weight net")
-        if self.loss_clamp is not None:
-            return np.minimum(losses, self.loss_clamp)
-        return losses
+        return np.minimum(losses, LOSS_CLAMP)
 
     def forward(self, losses: np.ndarray) -> np.ndarray:
         """All K head outputs for each loss; shape (n, K), entries in (0, 1)."""
@@ -256,10 +254,11 @@ class WeightNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: named float64 arrays + JSON sidecar
+# checkpoint serialization: named float64 arrays whose shapes give the
+# architecture
 
 _MAGIC = b"CMWC"
-_VERSION = 1
+_VERSION = 2
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
@@ -267,12 +266,12 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(arrays)))
         for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+            arr = np.asarray(arr, dtype="<f8")  # tobytes() is C order
             nb = name.encode()
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
+            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
             fh.write(arr.tobytes())
 
 
@@ -283,7 +282,8 @@ def read_arrays(path) -> dict[str, np.ndarray]:
         version, count = struct.unpack("<II", read_exact(fh, 8, path))
         if version != _VERSION:
             raise CorruptArtifact(
-                f"{path}: unsupported checkpoint version {version}")
+                f"{path}: unsupported checkpoint version {version} "
+                f"(expected {_VERSION})")
         out = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
@@ -292,38 +292,25 @@ def read_arrays(path) -> dict[str, np.ndarray]:
             except UnicodeDecodeError as e:
                 raise CorruptArtifact(f"{path}: bad array name ({e})") from e
             (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
-            shape = struct.unpack(f"<{ndim}q", read_exact(fh, 8 * ndim, path))
-            size = int(np.prod(shape))
+            shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path))
+            size = math.prod(shape)  # a Python int, which cannot wrap
             data = np.frombuffer(read_exact(fh, 8 * size, path), dtype="<f8")
             out[name] = data.reshape(shape).copy()
         return out
 
 
 def save_checkpoint(path, clf: Classifier, wnet: WeightNet | None = None,
-                    centers: np.ndarray | None = None,
-                    extra_arrays: dict[str, np.ndarray] | None = None,
-                    meta: dict | None = None) -> None:
-    """Binary parameter file plus a JSON sidecar describing the architecture."""
-    path = str(path)
+                    centers: np.ndarray | None = None) -> None:
+    """The classifier's layers, the weighting net and the family centers as
+    one file of named arrays."""
     arrays = {f"clf_W_{i}": w for i, w in enumerate(clf.weights)}
     arrays.update({f"clf_b_{i}": b for i, b in enumerate(clf.biases)})
-    sidecar = {"classifier_sizes": clf.sizes, "weightnet": None,
-               "centers": None}
     if wnet is not None:
         arrays.update(wn_W1=wnet.W1, wn_b1=wnet.b1, wn_W2=wnet.W2,
                       wn_b2=wnet.b2)
-        sidecar["weightnet"] = {"hidden": wnet.hidden, "K": wnet.K,
-                                "loss_clamp": wnet.loss_clamp}
     if centers is not None:
-        sidecar["centers"] = [float(c) for c in centers]
-    if extra_arrays:
-        arrays.update(extra_arrays)
-    if meta:
-        sidecar.update(meta)
+        arrays["centers"] = centers
     write_arrays(path, arrays)
-    with open(path + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @dataclass
@@ -331,49 +318,38 @@ class Checkpoint:
     classifier: Classifier
     weightnet: WeightNet | None
     centers: np.ndarray | None
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    sidecar: dict = field(default_factory=dict)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    path = str(path)
+    """Rebuild the models from the array shapes: the classifier has one layer
+    per clf_W_i array, and a weighting net is present iff wn_W2 is."""
     arrays = read_arrays(path)
-    with open(path + ".json") as fh:
-        try:
-            return _checkpoint_from(arrays, json.load(fh))
-        except (ValueError, KeyError, TypeError) as e:
-            raise CorruptArtifact(f"{path}.json: sidecar does not describe "
-                                  f"the checkpoint ({e!r})") from e
 
+    def shape(name: str, want: tuple) -> tuple:
+        """The shape of arrays[name], which must match `want` (None: any)."""
+        got = arrays[name].shape if name in arrays else None
+        if got is None or len(got) != len(want) or any(
+                w not in (None, g) for w, g in zip(want, got)):
+            found = "is missing" if got is None else f"has shape {got}"
+            raise CorruptArtifact(f"{path}: array {name} {found}, "
+                                  f"expected shape {want}")
+        return got
 
-def _check_shapes(arrays: dict[str, np.ndarray], expected: dict) -> None:
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise ValueError(f"array {name} has shape {arrays[name].shape}, "
-                             f"expected {shape}")
-
-
-def _checkpoint_from(arrays: dict[str, np.ndarray], sidecar: dict) -> Checkpoint:
-    sizes = sidecar["classifier_sizes"]
-    n_layers = len(sizes) - 1
-    expected = {}
-    for i, (d_in, d_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        expected[f"clf_W_{i}"] = (d_in, d_out)
-        expected[f"clf_b_{i}"] = (d_out,)
-    _check_shapes(arrays, expected)
-    clf = Classifier(
-        sizes,
-        [arrays[f"clf_W_{i}"] for i in range(n_layers)],
-        [arrays[f"clf_b_{i}"] for i in range(n_layers)],
-    )
-    wnet = None
-    if sidecar.get("weightnet"):
-        H, K = sidecar["weightnet"]["hidden"], sidecar["weightnet"]["K"]
-        _check_shapes(arrays, {"wn_W1": (1, H), "wn_b1": (H,),
-                               "wn_W2": (H, K), "wn_b2": (K,)})
+    n_layers = max(1, sum(name.startswith("clf_W_") for name in arrays))
+    sizes = [shape("clf_W_0", (None, None))[0]]
+    for i in range(n_layers):
+        sizes.append(shape(f"clf_W_{i}", (sizes[i], None))[1])
+        shape(f"clf_b_{i}", (sizes[-1],))
+    clf = Classifier(sizes, [arrays[f"clf_W_{i}"] for i in range(n_layers)],
+                     [arrays[f"clf_b_{i}"] for i in range(n_layers)])
+    wnet = centers = None
+    if "wn_W2" in arrays:
+        H, K = shape("wn_W2", (None, None))
+        for name, want in (("wn_W1", (1, H)), ("wn_b1", (H,)), ("wn_b2", (K,))):
+            shape(name, want)
         wnet = WeightNet(arrays["wn_W1"], arrays["wn_b1"], arrays["wn_W2"],
-                         arrays["wn_b2"], sidecar["weightnet"]["loss_clamp"])
-    centers = None
-    if sidecar.get("centers") is not None:
-        centers = np.asarray(sidecar["centers"], dtype=np.float64)
-    return Checkpoint(clf, wnet, centers, arrays, sidecar)
+                         arrays["wn_b2"])
+    if "centers" in arrays:
+        shape("centers", (None,))
+        centers = arrays["centers"]
+    return Checkpoint(clf, wnet, centers)

@@ -111,12 +111,6 @@ class SgdMomentum:
             buf += d
             p -= self.lr * buf
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, buf in enumerate(self.buffers or []):
-            out[f"momentum_{i}"] = buf
-        return out
-
 
 class Adam:
     """Adam with bias correction; weight decay added to the gradient."""
@@ -151,14 +145,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * d * d
             p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, m in enumerate(self.m or []):
-            out[f"adam_m_{i}"] = m
-        for i, v in enumerate(self.v or []):
-            out[f"adam_v_{i}"] = v
-        return out
 
 
 # ---------------------------------------------------------------------------

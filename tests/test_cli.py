@@ -1,6 +1,10 @@
 """End-to-end CLI runs: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,10 +43,10 @@ class TestTrain:
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         for name in ("snapshot.yaml", "train.cmwd", "test.cmwd", "metrics.csv",
-                     "checkpoint.ckpt", "checkpoint.ckpt.json",
-                     "confusion.csv", "weight_curve.csv", "histogram.csv",
-                     "report.json"):
+                     "checkpoint.ckpt", "confusion.csv", "weight_curve.csv",
+                     "histogram.csv", "report.json"):
             assert (out / name).exists(), name
+        assert not (out / "checkpoint.ckpt.json").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["variant"] == "cmwnet"
         assert 0.0 <= report["accuracy"] <= 1.0
@@ -76,14 +80,19 @@ class TestTrain:
         assert (out1 / "metrics.csv").read_bytes() != \
                (out2 / "metrics.csv").read_bytes()
 
-    def test_checkpoint_resume_state_present(self, tmp_path):
+    def test_checkpoint_holds_only_learned_arrays(self, tmp_path):
+        # the classifier, the weighting net and the family centers; no
+        # optimizer state
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
         cli.main(["train", "--config", str(cfg), "--out", str(out)])
         ck = load_checkpoint(out / "checkpoint.ckpt")
-        assert ck.weightnet is not None
-        assert ck.centers is not None
-        assert any(k.startswith("theta_") for k in ck.arrays)
+        assert ck.classifier.sizes == [3, 8, 4]
+        assert ck.weightnet.hidden == 8
+        assert ck.centers.shape == (ck.weightnet.K,)
+        assert set(read_arrays(out / "checkpoint.ckpt")) == {
+            "clf_W_0", "clf_W_1", "clf_b_0", "clf_b_1",
+            "wn_W1", "wn_b1", "wn_W2", "wn_b2", "centers"}
 
     def test_partial_sl_takes_defaults(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "cmwnet-sl",
@@ -173,7 +182,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("overrides, field", [
         ({"model": {"hidden": [8, "8"]}}, "model.hidden"),
         ({"model": {"hidden": [True]}}, "model.hidden"),
-        ({"model": {"loss_clamp": "inf"}}, "model.loss_clamp"),
+        # removed setting, now the constant models.LOSS_CLAMP
+        ({"model": {"loss_clamp": 50.0}}, "model.loss_clamp"),
         ({"dataset": {"C": 4.5}}, "dataset.C"),
         ({"test": {"seed": None}}, "test.seed"),
         ({"seed": "0"}, "seed"),
@@ -181,6 +191,23 @@ class TestExitCodes:
         ({"model": {"normalize": True}}, "normalize"),
         ({"train": {"theta_optimizer": "adam"}}, "theta_optimizer"),
         ({"train": {"meta_labels": "observed"}}, "meta_labels"),
+        # values numpy or the bias injectors would reject mid-run
+        ({"dataset": {"bias": [{"kind": "symmetric", "level": 0.3,
+                                "seed": 1.5}]}}, "dataset.bias[0].seed"),
+        ({"seed": -1}, "seed"),
+        ({"dataset": {"seed": -1}}, "dataset.seed"),
+        ({"test": {"seed": -1}}, "test.seed"),
+        ({"dataset": {"bias": [{"kind": "symmetric", "level": 0.3,
+                                "seed": -1}]}}, "seed"),
+        ({"dataset": {"bias": [{"kind": "hybrid", "level": 0.3,
+                                "pmd_type": 4}]}}, "pmd_type"),
+        ({"dataset": {"bias": [{"kind": "hybrid", "level": 0.3,
+                                "extra": "foo"}]}}, "foo"),
+        ({"dataset": {"bias": [{"kind": "longtail", "imbalance_factor": 5.0},
+                               {"kind": "longtail",
+                                "imbalance_factor": 2.0}]}}, "dataset.bias[1]"),
+        ({"test": {"n_per_class": 0}}, "test.n_per_class"),
+        ({"train": {"meta_per_class": 0}}, "train.meta_per_class"),
     ])
     def test_config_type_error_outside_train(self, tmp_path, capsys,
                                              overrides, field):
@@ -190,7 +217,7 @@ class TestExitCodes:
     def test_int_accepted_for_float(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1,
                                          "lr": 1, "theta_lr": 0},
-                        model={"loss_clamp": None})
+                        dataset={"sigma": 1})
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 0
 
@@ -210,7 +237,7 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert "2 heads" in err[0]
 
-    def test_nonfinite_loss_is_numeric_failure(self, tmp_path, capsys):
+    def test_nonfinite_loss_is_numeric_failure(self, tmp_path):
         src_cfg = write_cfg(tmp_path, "src.yaml", model={"K": 2})
         src = tmp_path / "src"
         assert cli.main(["train", "--config", str(src_cfg),
@@ -219,12 +246,18 @@ class TestExitCodes:
         dst_cfg = write_cfg(tmp_path, "dst.yaml", model={"K": 2},
                             dataset={"separation": 1.0e300},
                             train={"warmup_epochs": 0})
-        capsys.readouterr()
-        code = cli.main(["meta-test", "--config", str(dst_cfg),
-                         "--out", str(tmp_path / "dst"),
-                         "--checkpoint", str(src / "checkpoint.ckpt")])
-        assert code == 3
-        err = capsys.readouterr().err.strip().splitlines()
+        # a subprocess, because numpy's RuntimeWarnings would reach stderr
+        # outside pytest's capture
+        src_dir = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src_dir] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cmwnet.cli", "meta-test",
+             "--config", str(dst_cfg), "--out", str(tmp_path / "dst"),
+             "--checkpoint", str(src / "checkpoint.ckpt")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        err = proc.stderr.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
         assert "weight net" in err[0]
 
@@ -240,18 +273,32 @@ class TestExitCodes:
         data = path.read_bytes()
         if keep == "magic":
             path.write_bytes(b"XXXX" + data[4:])
-        elif keep == "version":
-            path.write_bytes(data[:4] + (99).to_bytes(4, "little") + data[8:])
+        elif keep in ("version", "v1"):  # v1 files came with a JSON sidecar
+            version = 99 if keep == "version" else 1
+            path.write_bytes(data[:4] + version.to_bytes(4, "little")
+                             + data[8:])
         elif keep == "length":  # a dataset's sample count: 2**46 bytes
             path.write_bytes(data[:8] + (2 ** 40).to_bytes(8, "little")
                              + data[16:])
         elif keep == "name":  # first byte of a checkpoint's first array name
             path.write_bytes(data[:16] + b"\xff" + data[17:])
+        elif keep == "dims":  # clf_W_0's shape: 2**64 entries in all
+            path.write_bytes(data[:27] + (2 ** 62).to_bytes(8, "little")
+                             + (4).to_bytes(8, "little") + data[43:])
         elif keep in ("clf-shape", "wn-shape"):  # arrays that do not chain
             arrays = read_arrays(path)
             name = "clf_W_0" if keep == "clf-shape" else "wn_W2"
             arrays[name] = np.zeros((arrays[name].shape[0],
                                      arrays[name].shape[1] + 1))
+            write_arrays(path, arrays)
+        elif keep in ("missing", "bias-length", "not-2d"):
+            arrays = read_arrays(path)
+            if keep == "missing":
+                del arrays["wn_W1"]
+            elif keep == "bias-length":
+                arrays["clf_b_1"] = np.zeros(arrays["clf_b_1"].size + 1)
+            else:
+                arrays["clf_W_1"] = arrays["clf_W_1"].ravel()
             write_arrays(path, arrays)
         elif keep in ("label", "priors"):  # a dataset its loader must refuse
             ds = load_dataset(path)
@@ -269,26 +316,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("I/O failure: ")
         assert str(path) in err[0]
-        if isinstance(keep, int):
+        if isinstance(keep, int) or keep == "dims":
             assert "truncated" in err[0]
 
-    @pytest.mark.parametrize("keep", [6, 100, -1, "magic", "version", "name",
-                                      "sidecar-json", "sidecar-key",
-                                      "clf-shape", "wn-shape"])
+    @pytest.mark.parametrize("keep", [6, 100, -1, "magic", "version", "v1",
+                                      "name", "dims", "missing",
+                                      "bias-length", "not-2d", "clf-shape",
+                                      "wn-shape"])
     def test_truncated_checkpoint(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         src = tmp_path / "src"
         cli.main(["train", "--config", str(cfg), "--out", str(src)])
         ckpt = src / "checkpoint.ckpt"
-        sidecar = src / "checkpoint.ckpt.json"
-        if keep == "sidecar-json":
-            bad = sidecar
-            bad.write_text('{"classifier_sizes": [3, 8')
-        elif keep == "sidecar-key":
-            bad = sidecar
-            bad.write_text(json.dumps({"weightnet": None}))
-        else:
-            bad = self.damage(ckpt, keep)
+        bad = self.damage(ckpt, keep)
         capsys.readouterr()
         code = cli.main(["meta-test", "--config", str(cfg),
                          "--out", str(tmp_path / "dst"),

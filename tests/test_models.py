@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cmwnet import numkit
-from cmwnet.models import (Classifier, WeightNet, load_checkpoint, read_arrays,
-                           save_checkpoint, write_arrays)
+from cmwnet.models import (LOSS_CLAMP, Classifier, WeightNet, load_checkpoint,
+                           read_arrays, save_checkpoint, write_arrays)
 from cmwnet.taskfam import assign_family
 from conftest import random_batch, tiny_classifier, tiny_weightnet
 
@@ -212,21 +212,22 @@ class TestWeightNet:
         table = wn.forward(losses)
         np.testing.assert_allclose(v, table[np.arange(6), fams], atol=1e-14)
 
-    @pytest.mark.parametrize("clamp", [None, 2.0])
-    def test_weight_is_value_of_weight_and_grad(self, rng, clamp):
+    # tail=None keeps every loss below the clamp; a number puts every other
+    # loss at up to that multiple of it
+    @pytest.mark.parametrize("tail", [None, 2.0])
+    def test_weight_is_value_of_weight_and_grad(self, rng, tail):
         wn = tiny_weightnet(rng, K=3)
-        wn.loss_clamp = clamp
         losses = rng.uniform(0, 5, size=7)
+        if tail is not None:
+            losses[::2] = rng.uniform(1, tail, size=4) * LOSS_CLAMP
         fams = rng.integers(0, 3, size=7)
         v, _ = wn.weight_and_grad(losses, fams)
         assert np.array_equal(wn.weight(losses, fams), v)
 
     def test_loss_clamp_flattens_tail(self, rng):
         wn = tiny_weightnet(rng)
-        wn.loss_clamp = 10.0
-        a = wn.forward(np.array([10.0]))
-        b = wn.forward(np.array([500.0]))
-        np.testing.assert_array_equal(a, b)
+        heads = wn.forward(np.array([LOSS_CLAMP, LOSS_CLAMP + 1.0, 500.0]))
+        np.testing.assert_array_equal(heads[1:], heads[[0, 0]])
 
 
 class TestWeightJacobianOracle:
@@ -238,12 +239,12 @@ class TestWeightJacobianOracle:
         rng = np.random.default_rng(11)
         wn = WeightNet.init(K, rng, hidden=H)
         losses = rng.exponential(2.0, size=n)
-        losses[:3] = [0.0, 80.0, 1.0]              # 80 is clamped
+        losses[:3] = [0.0, 80.0, 1.0]              # 80 is clamped to 50
         fam = rng.integers(0, K, size=n)
         v, dv = wn.weight_and_grad(losses, fam)
         assert np.array_equal(v, wn.weight(losses, fam))
 
-        ell = np.minimum(losses, wn.loss_clamp)
+        ell = np.minimum(losses, LOSS_CLAMP)
         z1 = ell[:, None] @ wn.W1 + wn.b1
         h = np.maximum(z1, 0.0)
         dz2 = v * (1.0 - v)
@@ -303,6 +304,7 @@ class TestCheckpoint:
         back = read_arrays(path)
         assert set(back) == set(arrays)
         for k in arrays:
+            assert back[k].shape == arrays[k].shape, k
             np.testing.assert_array_equal(back[k],
                                           np.asarray(arrays[k], dtype="<f8"))
 
@@ -313,19 +315,29 @@ class TestCheckpoint:
             read_arrays(path)
 
     def test_checkpoint_bit_exact_round_trip(self, rng, tmp_path):
+        # the architecture comes back from the array shapes alone
         clf = tiny_classifier(rng, d=4, hidden=(6, 5), C=3)
         wn = tiny_weightnet(rng, K=3)
         centers = np.array([5.0, 50.0, 500.0])
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, clf, wn, centers,
-                        extra_arrays={"opt_buf": rng.normal(size=4)},
-                        meta={"note": "round-trip"})
-        ck = load_checkpoint(path)
-        np.testing.assert_array_equal(ck.classifier.get_flat(), clf.get_flat())
-        np.testing.assert_array_equal(ck.weightnet.get_flat(), wn.get_flat())
-        np.testing.assert_array_equal(ck.centers, centers)
-        assert ck.sidecar["note"] == "round-trip"
-        assert "opt_buf" in ck.arrays
+        layers = {"clf_W_0", "clf_W_1", "clf_W_2",
+                  "clf_b_0", "clf_b_1", "clf_b_2"}
+        for net, names in ((wn, layers | {"wn_W1", "wn_b1", "wn_W2", "wn_b2"}),
+                           (None, layers)):
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(path, clf, net, centers)
+            assert set(read_arrays(path)) == names | {"centers"}
+            assert not (tmp_path / "model.ckpt.json").exists()
+            ck = load_checkpoint(path)
+            assert ck.classifier.sizes == [4, 6, 5, 3]
+            np.testing.assert_array_equal(ck.classifier.get_flat(),
+                                          clf.get_flat())
+            if net is None:
+                assert ck.weightnet is None
+            else:
+                assert (ck.weightnet.hidden, ck.weightnet.K) == (wn.hidden, 3)
+                np.testing.assert_array_equal(ck.weightnet.get_flat(),
+                                              wn.get_flat())
+            np.testing.assert_array_equal(ck.centers, centers)
 
     def test_checkpoint_without_weightnet(self, rng, tmp_path):
         clf = tiny_classifier(rng)
