@@ -2,9 +2,10 @@
 
 Gaussian-mixture classification data with an exact posterior oracle, plus
 the bias injectors: exponential long-tail subsampling, symmetric and
-asymmetric label noise, posterior-margin-driven feature-dependent noise
-(three flip-probability profiles), and hybrids. Injectors only ever touch
-the observed labels; features and hidden clean labels are preserved.
+asymmetric label noise and posterior-margin-driven feature-dependent noise
+(three flip-probability profiles). Combinations are chains of BiasSpecs,
+applied in order. Injectors only ever touch the observed labels; features
+and hidden clean labels are preserved.
 """
 
 from __future__ import annotations
@@ -271,24 +272,10 @@ def inject_pmd(ds: Dataset, noise_type: int, level: float, seed: int) -> Dataset
     return out
 
 
-def inject_hybrid(ds: Dataset, pmd_type: int, pmd_level: float, extra: str,
-                  extra_level: float, seed: int) -> Dataset:
-    """Feature-dependent noise first, then the feature-independent overlay."""
-    r = np.random.default_rng(np.random.SeedSequence(seed))
-    s1, s2 = (int(v) for v in r.integers(0, 2 ** 62, size=2))
-    mid = inject_pmd(ds, pmd_type, pmd_level, s1)
-    if extra == "symmetric":
-        return inject_symmetric(mid, extra_level, s2)
-    if extra == "asymmetric":
-        return inject_asymmetric(mid, extra_level, s2)
-    raise ValueError(f"unknown overlay kind {extra!r}")
-
-
 # ---------------------------------------------------------------------------
 # declarative bias chain
 
-_BIAS_KINDS = ("longtail", "symmetric", "asymmetric", "pmd1", "pmd2", "pmd3",
-               "hybrid")
+_BIAS_KINDS = ("longtail", "symmetric", "asymmetric", "pmd1", "pmd2", "pmd3")
 
 
 @dataclass
@@ -297,9 +284,6 @@ class BiasSpec:
     level: float = 0.0
     imbalance_factor: float = 1.0
     seed: int = 0
-    extra: str = "symmetric"       # hybrid overlay kind
-    extra_level: float = 0.0
-    pmd_type: int = 1              # hybrid feature-dependent component
 
     def __post_init__(self):
         if self.kind not in _BIAS_KINDS:
@@ -308,10 +292,6 @@ class BiasSpec:
             raise ValueError("level must be in [0, 1]")
         if self.imbalance_factor < 1.0:
             raise ValueError("imbalance_factor must be >= 1")
-        if self.pmd_type not in (1, 2, 3):
-            raise ValueError("pmd_type must be 1, 2 or 3")
-        if self.extra not in ("symmetric", "asymmetric"):
-            raise ValueError(f"unknown overlay kind {self.extra!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -322,10 +302,7 @@ class BiasSpec:
             return inject_symmetric(ds, self.level, self.seed)
         if self.kind == "asymmetric":
             return inject_asymmetric(ds, self.level, self.seed)
-        if self.kind in ("pmd1", "pmd2", "pmd3"):
-            return inject_pmd(ds, int(self.kind[-1]), self.level, self.seed)
-        return inject_hybrid(ds, self.pmd_type, self.level, self.extra,
-                             self.extra_level, self.seed)
+        return inject_pmd(ds, int(self.kind[-1]), self.level, self.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -111,16 +111,25 @@ def run(cfg: ExperimentConfig, out: str) -> Path:
     return out_dir
 
 
+def _read_report(run_dir) -> dict:
+    path = Path(run_dir) / "report.json"
+    if not path.exists():
+        raise FileNotFoundError(f"{path} missing; run not finished?")
+    with open(path) as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as e:
+            raise CorruptArtifact(f"{path}: not valid JSON: {e}") from e
+    keys = ("accuracy", "per_class_accuracy", "test_fingerprint")
+    missing = [k for k in keys if not isinstance(report, dict) or k not in report]
+    if missing:
+        raise CorruptArtifact(f"{path}: missing key(s) {missing}")
+    return report
+
+
 def compare(dir_a, dir_b, out_path=None):
     """Paired accuracy deltas between two finished runs on the same test set."""
-    reports = []
-    for d in (dir_a, dir_b):
-        path = Path(d) / "report.json"
-        if not path.exists():
-            raise FileNotFoundError(f"{path} missing; run not finished?")
-        with open(path) as fh:
-            reports.append(json.load(fh))
-    a, b = reports
+    a, b = _read_report(dir_a), _read_report(dir_b)
     if a["test_fingerprint"] != b["test_fingerprint"]:
         raise ConfigError("runs were evaluated on different test sets")
     C = len(a["per_class_accuracy"])
@@ -179,6 +188,11 @@ def _cmd_curves(args) -> int:
                                    ckpt.weightnet, LOSS_GRID)
     if args.dataset:
         ds = biasgen.load_dataset(args.dataset)
+        sizes = ckpt.classifier.sizes
+        if (ds.d, ds.C) != (sizes[0], sizes[-1]):
+            raise ConfigError(
+                f"dataset {args.dataset} has d={ds.d}, C={ds.C}; the "
+                f"checkpoint's classifier takes d={sizes[0]}, C={sizes[-1]}")
         metrics.write_histogram_csv(
             out_dir / "histogram.csv", ds,
             ckpt.classifier.losses(ds.features, ds.observed_labels))

@@ -8,7 +8,6 @@ seed) alone.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -17,10 +16,6 @@ from . import biasgen
 from .biasgen import BiasSpec, Dataset
 
 VARIANTS = ("cmwnet", "cmwnet-sl", "erm", "mwnet", "meta-test")
-_SL_DEFAULTS = {"alpha_te": 0.9, "beta_wa": 0.99, "gamma": 1.0}
-# the keys each schedule kind reads besides "kind", with their defaults
-_SCHEDULE_DEFAULTS = {"piecewise": {"milestones": [0.6, 0.8], "gamma": 0.1},
-                      "decay": {}}
 
 
 class ConfigError(ValueError):
@@ -49,10 +44,11 @@ class DatasetConfig:
         _check_seed("dataset.seed", self.seed)
         fields = BiasSpec.__dataclass_fields__
         for i, spec in enumerate(self.bias):
+            bad = sorted(f"dataset.bias[{i}].{k}" for k in spec if k not in fields)
+            if bad:
+                raise ConfigError(f"unknown field(s): {bad}")
             for key, value in spec.items():
-                if key in fields:
-                    _check_type(f"dataset.bias[{i}].{key}", value,
-                                fields[key].type)
+                _check_type(f"dataset.bias[{i}].{key}", value, fields[key].type)
             try:
                 BiasSpec(**spec)
             except (TypeError, ValueError) as e:
@@ -90,26 +86,15 @@ class TrainConfig:
     variant: str = "cmwnet"
     epochs: int = 60
     batch_size: int = 100
-    meta_batch_size: int = 100
     lr: float = 0.1
-    momentum: float = 0.9
     weight_decay: float = 5e-4
     theta_lr: float = 1e-3
     theta_weight_decay: float = 1e-4
-    t_meta: int = 1
     warmup_epochs: int = 5
     meta_per_class: int = 10
     mixup_meta: bool = True
     schedule: dict = field(default_factory=lambda: {"kind": "piecewise"})
-    sl: dict = field(default_factory=dict)
     checkpoint: str | None = None          # Theta* source for meta-test
-
-    def __post_init__(self):
-        # omitted keys take their defaults
-        self.sl = {**_SL_DEFAULTS, **self.sl}
-        self.schedule = {
-            **deepcopy(_SCHEDULE_DEFAULTS.get(self.schedule.get("kind"), {})),
-            **self.schedule}
 
     def validate(self, model: ModelConfig):
         if self.variant not in VARIANTS:
@@ -121,28 +106,15 @@ class TrainConfig:
             raise ConfigError("train.variant=meta-test requires train.checkpoint")
         if self.epochs < 0:
             raise ConfigError("train.epochs must be >= 0")
-        if self.batch_size < 1 or self.meta_batch_size < 1:
-            raise ConfigError("train batch sizes must be >= 1")
-        if self.t_meta < 1:
-            raise ConfigError("train.t_meta must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("train.batch_size must be >= 1")
         if self.meta_per_class < 1:
             raise ConfigError("train.meta_per_class must be >= 1")
-        sched = self.schedule
-        if sched.get("kind") not in _SCHEDULE_DEFAULTS:
+        if self.schedule.get("kind") not in ("piecewise", "decay"):
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")
-        _check_keys("train.schedule", sched,
-                    {"kind"} | set(_SCHEDULE_DEFAULTS[sched["kind"]]))
-        milestones = sched.get("milestones", [])
-        if not _type_ok(milestones, "list[float]"):
-            raise ConfigError("train.schedule.milestones must be a list of numbers")
-        if "gamma" in sched and not _type_ok(sched["gamma"], "float"):
-            raise ConfigError("train.schedule.gamma must be a number")
-        _check_keys("train.sl", self.sl, set(_SL_DEFAULTS))
-        for key in ("alpha_te", "beta_wa"):
-            if not (_type_ok(self.sl[key], "float") and 0.0 <= self.sl[key] < 1.0):
-                raise ConfigError(f"train.sl.{key} must be in [0, 1)")
-        if not (_type_ok(self.sl["gamma"], "float") and self.sl["gamma"] > 0):
-            raise ConfigError("train.sl.gamma must be positive")
+        bad = sorted(f"train.schedule.{k}" for k in self.schedule if k != "kind")
+        if bad:
+            raise ConfigError(f"unknown field(s): {bad}")
 
 
 _KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
@@ -169,14 +141,6 @@ def _check_type(name: str, value, annotation: str) -> None:
 def _check_seed(name: str, seed: int) -> None:
     if seed < 0:
         raise ConfigError(f"{name} must be >= 0, got {seed}")
-
-
-def _check_keys(name: str, mapping: dict, keys: set) -> None:
-    """The mapping must have exactly `keys`."""
-    for what, bad in (("unknown", set(mapping) - keys),
-                      ("missing", keys - set(mapping))):
-        if bad:
-            raise ConfigError(f"{what} key(s) in {name}: {sorted(bad)}")
 
 
 @dataclass
@@ -232,7 +196,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        data = yaml.safe_load(fh) or {}
+        try:
+            data = yaml.safe_load(fh) or {}
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: not valid YAML: "
+                              f"{' '.join(str(e).split())}") from e
     return config_from_dict(data)
 
 

@@ -3,8 +3,8 @@
 Each iteration after warmup forms the per-layer factors of one batched
 forward and backward pass at the current classifier w (layer inputs a_j
 and deltas d_j, sample j's gradient being outer(a_j, d_j)); per-sample
-gradient matrices are never formed. When a meta step is due, these factors
-give a virtual SGD step weighted by the weighting net, a closed-form
+gradient matrices are never formed. While Theta learns, these factors give
+a virtual SGD step weighted by the weighting net, a closed-form
 hypergradient of the meta loss through it (the one-step update is linear
 in the weights, so no tape is needed) and a weighting-net update. The real
 classifier step then reuses the same factors with the refreshed weights.
@@ -28,6 +28,14 @@ from .models import Classifier, WeightNet
 from .numkit import (Adam, SgdMomentum, softmax, softmax_xent, spawn_rngs,
                      unflatten_like)
 from .taskfam import FamilyIndex, kmeans_1d
+
+MOMENTUM = 0.9               # the classifier's SGD momentum
+# piecewise schedule: the rate is multiplied by LR_GAMMA once each of these
+# fractions of the epochs has passed
+MILESTONES, LR_GAMMA = (0.6, 0.8), 0.1
+# soft-label variant: temporal-ensembling rate, EMA rate of the classifier
+# that predicts the pseudo-labels, and the Beta(g, g) mixup parameter
+ALPHA_TE, BETA_WA, SL_MIXUP = 0.9, 0.99, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +325,9 @@ def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
     kind = sched["kind"]
     if kind == "piecewise":
         lr = base_lr
-        for frac in sched["milestones"]:
+        for frac in MILESTONES:
             if epoch >= frac * total_epochs:
-                lr *= sched["gamma"]
+                lr *= LR_GAMMA
         return lr
     if kind == "decay":
         return min(base_lr, base_lr / np.sqrt(max(t, 1)))
@@ -396,8 +404,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
         wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H)
         theta_opt = Adam(cfg.train.theta_lr,
                          weight_decay=cfg.train.theta_weight_decay)
-    clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,
-                          cfg.train.weight_decay)
+    clf_opt = SgdMomentum(cfg.train.lr, MOMENTUM, cfg.train.weight_decay)
     state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
                        theta_opt=theta_opt)
     if variant == "cmwnet-sl":
@@ -417,15 +424,15 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
     rng_init_clf, rng_order = spawn_rngs(seed, 2)
     fam = None
     if wnet is not None:
-        fam = kmeans_1d(query_ds.class_counts(), wnet.K)
-        if fam.K != wnet.K:
+        sizes = np.unique(query_ds.class_counts()).size
+        if sizes < wnet.K:
             raise ConfigError(
-                f"weight net has {wnet.K} heads but query clustering yielded "
-                f"{fam.K} families")
+                f"weight net has {wnet.K} heads but the query's class sizes "
+                f"take only {sizes} distinct values")
+        fam = kmeans_1d(query_ds.class_counts(), wnet.K)
     clf = Classifier.init([query_ds.d] + list(cfg.model.hidden) + [query_ds.C],
                           rng_init_clf)
-    clf_opt = SgdMomentum(cfg.train.lr, cfg.train.momentum,
-                          cfg.train.weight_decay)
+    clf_opt = SgdMomentum(cfg.train.lr, MOMENTUM, cfg.train.weight_decay)
     state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
                        theta_opt=None)
     return _train(state, query_ds, cfg, test_ds, rng_order)
@@ -476,22 +483,20 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                 if state.z is None:
                     f = _factors(clf, x, y, fams, True)
                 else:
-                    f = _sl_batch(state, idx, x, y, fams, tc.sl, rng_sl)
+                    f = _sl_batch(state, idx, x, y, fams, rng_sl)
                 if state.theta_opt is not None:
-                    m = min(tc.meta_batch_size, meta_pool.m)
-                    midx = rng_meta.choice(meta_pool.m, size=m, replace=False)
-                    if state.t % max(1, tc.t_meta) == 0:
-                        clf_hat, cache = _virtual(clf, wnet, f, alpha)
-                        hg, meta_loss = hypergrad(cache, clf_hat,
-                                                  meta_pool.x[midx],
-                                                  meta_pool.targets[midx])
-                        state.theta_opt.lr = (
-                            _schedule_lr(tc.schedule, tc.theta_lr, epoch,
-                                         state.t, tc.epochs)
-                            if tc.schedule["kind"] == "decay"
-                            else tc.theta_lr)
-                        meta_update(wnet, state.theta_opt, hg)
-                        hg_norm = float(np.linalg.norm(hg))
+                    # the whole meta set, in a fresh order
+                    midx = rng_meta.choice(meta_pool.m, size=meta_pool.m,
+                                           replace=False)
+                    clf_hat, cache = _virtual(clf, wnet, f, alpha)
+                    hg, meta_loss = hypergrad(cache, clf_hat, meta_pool.x[midx],
+                                              meta_pool.targets[midx])
+                    state.theta_opt.lr = (
+                        _schedule_lr(tc.schedule, tc.theta_lr, epoch, state.t,
+                                     tc.epochs)
+                        if tc.schedule["kind"] == "decay" else tc.theta_lr)
+                    meta_update(wnet, state.theta_opt, hg)
+                    hg_norm = float(np.linalg.norm(hg))
                 v = _real_step(clf, state.clf_opt, wnet, f, alpha)
                 # the pre-step batch mean CE, as erm_update returns it
                 train_loss = f.losses[:idx.size].mean()
@@ -517,16 +522,16 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     return state
 
 
-def _sl_batch(state: TrainState, idx, x, y, fams, slc: dict, rng):
+def _sl_batch(state: TrainState, idx, x, y, fams, rng):
     """Soft-label bookkeeping of one batch, then its step factors.
 
     Refreshes the EMA classifier and the batch's ensembled targets, draws
     the mixup pairing and returns the factors on the mixed inputs.
     """
-    ema_update(state.w_wa, state.clf, slc["beta_wa"])
+    ema_update(state.w_wa, state.clf, BETA_WA)
     p = state.w_wa.forward(x)
-    state.z[idx] = temporal_ensemble(state.z[idx], p, slc["alpha_te"])
-    lam = float(rng.beta(slc["gamma"], slc["gamma"]))
+    state.z[idx] = temporal_ensemble(state.z[idx], p, ALPHA_TE)
+    lam = float(rng.beta(SL_MIXUP, SL_MIXUP))
     lam = max(lam, 1.0 - lam)
     perm = rng.permutation(idx.size)
     x_mix = lam * x + (1.0 - lam) * x[perm]

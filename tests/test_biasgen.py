@@ -7,8 +7,7 @@ import pytest
 
 from cmwnet import biasgen
 from cmwnet.biasgen import (BiasSpec, Dataset, apply_longtail, export_csv,
-                            inject_asymmetric, inject_hybrid,
-                            inject_pmd, inject_symmetric, load_dataset,
+                            inject_asymmetric, inject_pmd, inject_symmetric, load_dataset,
                             make_gaussian_classes, nearest_class_mapping,
                             posterior, save_dataset)
 
@@ -243,34 +242,46 @@ class TestPmdNoise:
             inject_pmd(bare, 1, 0.2, 0)
 
 
+def hybrid(ds, pmd_level, sym_level, pmd_seed, sym_seed):
+    """Feature-dependent noise, then a symmetric overlay: a two-spec chain,
+    applied in order as config.build_train_dataset applies dataset.bias."""
+    for spec in ({"kind": "pmd1", "level": pmd_level, "seed": pmd_seed},
+                 {"kind": "symmetric", "level": sym_level, "seed": sym_seed}):
+        ds = BiasSpec(**spec).apply(ds)
+    return ds
+
+
 class TestHybridNoise:
     def test_both_levels_zero_unchanged(self):
         ds = make_gaussian_classes(4, 3, 50, 4.0, 1.0, 0)
-        out = inject_hybrid(ds, 1, 0.0, "symmetric", 0.0, 1)
+        out = hybrid(ds, 0.0, 0.0, 1, 2)
         np.testing.assert_array_equal(out.observed_labels, ds.observed_labels)
 
     def test_total_rate_bounds(self):
         ds = make_gaussian_classes(10, 8, 1000, 4.0, 1.0, 0)
-        out = inject_hybrid(ds, 1, 0.35, "symmetric", 0.3, 1)
+        out = hybrid(ds, 0.35, 0.3, 1, 2)
         frac = float(np.mean(out.observed_labels != out.clean_labels))
         assert 0.30 < frac < 0.65
 
     def test_stage_order_matters(self):
         ds = make_gaussian_classes(6, 5, 400, 3.0, 1.0, 0)
-        forward = inject_hybrid(ds, 1, 0.35, "symmetric", 0.3, 5)
+        forward = hybrid(ds, 0.35, 0.3, 5, 6)
         # swapped order: symmetric first, then feature-dependent
-        r = np.random.default_rng(np.random.SeedSequence(5))
-        s1, s2 = (int(v) for v in r.integers(0, 2 ** 62, size=2))
-        swapped = inject_pmd(inject_symmetric(ds, 0.3, s2), 1, 0.35, s1)
+        swapped = inject_pmd(inject_symmetric(ds, 0.3, 6), 1, 0.35, 5)
         assert not np.array_equal(forward.observed_labels,
                                   swapped.observed_labels)
 
     def test_stage_seeds_differ(self):
-        # the two stages must not reuse one RNG stream
+        # each stage draws from its own spec's seed
         ds = make_gaussian_classes(10, 8, 500, 4.0, 1.0, 0)
-        out1 = inject_hybrid(ds, 1, 0.2, "symmetric", 0.2, 3)
-        out2 = inject_hybrid(ds, 1, 0.2, "symmetric", 0.2, 4)
+        out1 = hybrid(ds, 0.2, 0.2, 3, 4)
+        out2 = hybrid(ds, 0.2, 0.2, 3, 5)
         assert not np.array_equal(out1.observed_labels, out2.observed_labels)
+        direct = inject_symmetric(inject_pmd(ds, 1, 0.2, 3), 0.2, 4)
+        np.testing.assert_array_equal(out1.observed_labels,
+                                      direct.observed_labels)
+        with pytest.raises(ValueError, match="hybrid"):
+            BiasSpec(kind="hybrid")
 
 
 class TestBiasSpec:

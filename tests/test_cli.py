@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from cmwnet import cli, metrics
+from cmwnet import cli, metaloop, metrics
 from cmwnet.biasgen import load_dataset, save_dataset
 from cmwnet.models import (Classifier, load_checkpoint, read_arrays,
                            write_arrays)
@@ -95,21 +95,28 @@ class TestTrain:
             "wn_W1", "wn_b1", "wn_W2", "wn_b2", "centers"}
 
     def test_partial_sl_takes_defaults(self, tmp_path):
-        cfg = write_cfg(tmp_path, train={"variant": "cmwnet-sl",
-                                         "sl": {"gamma": 2.0}})
+        # the soft-label rates and momentum are metaloop constants, so a
+        # cmwnet-sl run always takes them and its snapshot names none
+        cfg = write_cfg(tmp_path, train={"variant": "cmwnet-sl"})
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         snap = yaml.safe_load((out / "snapshot.yaml").read_text())
-        assert snap["train"]["sl"] == {"alpha_te": 0.9, "beta_wa": 0.99,
-                                       "gamma": 2.0}
+        assert not {"sl", "momentum", "t_meta",
+                    "meta_batch_size"} & set(snap["train"])
+        assert (metaloop.ALPHA_TE, metaloop.BETA_WA,
+                metaloop.SL_MIXUP) == (0.9, 0.99, 1.0)
 
     def test_partial_schedule_takes_defaults(self, tmp_path):
+        # a schedule is its kind alone; piecewise divides the rate by 10 at
+        # 60% and 80% of the epochs
         cfg = write_cfg(tmp_path, train={"schedule": {"kind": "piecewise"}})
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         snap = yaml.safe_load((out / "snapshot.yaml").read_text())
-        assert snap["train"]["schedule"] == {
-            "kind": "piecewise", "milestones": [0.6, 0.8], "gamma": 0.1}
+        assert snap["train"]["schedule"] == {"kind": "piecewise"}
+        lrs = [metaloop._schedule_lr(snap["train"]["schedule"], 1.0, e, 0, 10)
+               for e in (5, 6, 7, 8)]
+        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
 
     def test_final_model_evaluated_once(self, tmp_path, monkeypatch):
         # the test set is scored before training and after each epoch; the
@@ -150,8 +157,10 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("train, field", [
+        # removed settings (here and at the end of the list): snapshots
+        # that still name them are refused
         ({"sl": {"gama": 2.0}}, "train.sl"),
-        ({"sl": {"alpha_te": 1.0}}, "train.sl.alpha_te"),
+        ({"t_meta": 1}, "train.t_meta"),
         ({"schedule": {"kind": "piecewise", "milestone": [0.5]}},
          "train.schedule"),
         ({"schedule": {"kind": "piecewise", "milestones": 0.5}},
@@ -165,6 +174,10 @@ class TestExitCodes:
         ({"mixup_meta": "no"}, "train.mixup_meta"),
         ({"variant": 1}, "train.variant"),
         ({"checkpoint": ["a"]}, "train.checkpoint"),
+        ({"meta_batch_size": 100}, "train.meta_batch_size"),
+        ({"momentum": 0.9}, "train.momentum"),
+        ({"schedule": {"kind": "piecewise", "gamma": 0.1}},
+         "train.schedule.gamma"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, train, field):
         self.assert_config_error(write_cfg(tmp_path, train=train), tmp_path,
@@ -201,13 +214,20 @@ class TestExitCodes:
                                 "seed": -1}]}}, "seed"),
         ({"dataset": {"bias": [{"kind": "hybrid", "level": 0.3,
                                 "pmd_type": 4}]}}, "pmd_type"),
-        ({"dataset": {"bias": [{"kind": "hybrid", "level": 0.3,
-                                "extra": "foo"}]}}, "foo"),
+        # the removed hybrid kind: chain a pmd and a symmetric spec instead
+        ({"dataset": {"bias": [{"kind": "hybrid", "level": 0.3}]}},
+         "hybrid"),
         ({"dataset": {"bias": [{"kind": "longtail", "imbalance_factor": 5.0},
                                {"kind": "longtail",
                                 "imbalance_factor": 2.0}]}}, "dataset.bias[1]"),
         ({"test": {"n_per_class": 0}}, "test.n_per_class"),
         ({"train": {"meta_per_class": 0}}, "train.meta_per_class"),
+        ({"dataset": {"bias": [{"kind": "pmd1", "level": 0.3,
+                                "extra_level": 0.2}]}},
+         "dataset.bias[0].extra_level"),
+        ({"dataset": {"bias": [{"kind": "pmd1", "level": 0.3,
+                                "extra": "symmetric"}]}},
+         "dataset.bias[0].extra"),
     ])
     def test_config_type_error_outside_train(self, tmp_path, capsys,
                                              overrides, field):
@@ -221,19 +241,31 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 0
 
-    def test_head_count_mismatch_is_config_error(self, tmp_path, capsys):
-        # a balanced target has one class size, so one family for two heads
+    @staticmethod
+    def script_stderr(args, code):
+        """Run the CLI in a subprocess, so that warnings reach stderr as
+        they would on the installed script; returns its stderr lines."""
+        src_dir = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src_dir] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        proc = subprocess.run([sys.executable, "-m", "cmwnet.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == code
+        return proc.stderr.strip().splitlines()
+
+    def test_head_count_mismatch_is_config_error(self, tmp_path):
+        # a balanced target has one class size, so one family for two heads;
+        # refused before clustering, so no k-means warning precedes the error
         src_cfg = write_cfg(tmp_path, "src.yaml", model={"K": 2})
         src = tmp_path / "src"
         assert cli.main(["train", "--config", str(src_cfg),
                          "--out", str(src)]) == 0
         dst_cfg = write_cfg(tmp_path, "dst.yaml", dataset={"bias": []})
-        capsys.readouterr()
-        code = cli.main(["meta-test", "--config", str(dst_cfg),
-                         "--out", str(tmp_path / "dst"),
-                         "--checkpoint", str(src / "checkpoint.ckpt")])
-        assert code == 2
-        err = capsys.readouterr().err.strip().splitlines()
+        err = self.script_stderr(
+            ["meta-test", "--config", str(dst_cfg), "--out",
+             str(tmp_path / "dst"), "--checkpoint",
+             str(src / "checkpoint.ckpt")], 2)
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert "2 heads" in err[0]
 
@@ -248,18 +280,53 @@ class TestExitCodes:
                             train={"warmup_epochs": 0})
         # a subprocess, because numpy's RuntimeWarnings would reach stderr
         # outside pytest's capture
-        src_dir = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src_dir] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "cmwnet.cli", "meta-test",
-             "--config", str(dst_cfg), "--out", str(tmp_path / "dst"),
-             "--checkpoint", str(src / "checkpoint.ckpt")],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 3
-        err = proc.stderr.strip().splitlines()
+        err = self.script_stderr(
+            ["meta-test", "--config", str(dst_cfg), "--out",
+             str(tmp_path / "dst"), "--checkpoint",
+             str(src / "checkpoint.ckpt")], 3)
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
         assert "weight net" in err[0]
+
+    @pytest.mark.parametrize("text", [b"a: [", b"a: \xff\xfe"])
+    def test_malformed_yaml_is_config_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(text)
+        self.assert_config_error(bad, tmp_path, capsys, str(bad))
+
+    @pytest.mark.parametrize("damage", ["not-json", "no-fingerprint",
+                                        "not-a-mapping"])
+    def test_corrupt_report_is_io_failure(self, tmp_path, capsys, damage):
+        cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
+        out = tmp_path / "run"
+        cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        path = out / "report.json"
+        report = json.loads(path.read_text())
+        del report["test_fingerprint"]
+        path.write_text({"not-json": "{", "not-a-mapping": "[1]",
+                         "no-fingerprint": json.dumps(report)}[damage])
+        capsys.readouterr()
+        code = cli.main(["compare", str(out), str(out)])
+        self.assert_io_failure(code, capsys, path, damage)
+
+    @pytest.mark.parametrize("dataset, name", [({"d": 4}, "d=4"),
+                                               ({"C": 5}, "C=5")])
+    def test_curves_dataset_must_fit_checkpoint(self, tmp_path, capsys,
+                                                dataset, name):
+        out = tmp_path / "run"
+        cli.main(["train", "--config", str(write_cfg(tmp_path)),
+                  "--out", str(out)])
+        other = tmp_path / "other"
+        cli.main(["generate", "--config",
+                  str(write_cfg(tmp_path, "other.yaml", dataset=dataset)),
+                  "--out", str(other)])
+        capsys.readouterr()
+        code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--out", str(tmp_path / "c"),
+                         "--dataset", str(other / "train.cmwd")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert name in err[0]
 
     def test_io_error_missing_config(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "absent.yaml"),

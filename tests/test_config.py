@@ -46,13 +46,18 @@ class TestValidation:
             config_from_dict({"train": {"schedule": {"kind": "cosine"}}})
 
     def test_schedule_set_after_construction_needs_every_key(self):
-        # __post_init__ fills omitted keys only when the config is built
+        # "kind" is a schedule's only key: its milestones and gamma are the
+        # constants metaloop.MILESTONES and LR_GAMMA
         cfg = ExperimentConfig()
-        cfg.train.schedule = {"kind": "piecewise"}
-        with pytest.raises(ConfigError, match="missing key.*milestones"):
+        cfg.train.schedule = {}
+        with pytest.raises(ConfigError, match="train.schedule.kind"):
             cfg.validate()
-        cfg.train.schedule = {"kind": "decay"}
-        cfg.validate()
+        cfg.train.schedule = {"kind": "piecewise", "milestones": [0.5]}
+        with pytest.raises(ConfigError, match="train.schedule.milestones"):
+            cfg.validate()
+        for kind in ("piecewise", "decay"):
+            cfg.train.schedule = {"kind": kind}
+            cfg.validate()
 
 
 class TestRoundTrip:

@@ -629,14 +629,23 @@ class TestMetaTrain:
         state = meta_train(ds, cfg, seed=0)
         assert state.wnet is None
 
-    def test_t_meta_skips_meta_updates(self):
-        cfg = desk_cfg(epochs=3, t_meta=4)
-        ds = build_train_dataset(cfg)
-        state = meta_train(ds, cfg, seed=0)
-        norms = [r["hypergrad_norm"] for r in state.history
-                 if r["epoch"] >= cfg.train.warmup_epochs]
-        finite = [not np.isnan(v) for v in norms]
-        assert sum(finite) == len(norms) // 4 + (1 if len(norms) % 4 else 0)
+    def test_every_weighted_iteration_takes_a_meta_step(self, monkeypatch):
+        # one hypergradient per weighted iteration, always on the whole
+        # meta set (meta_per_class x C rows)
+        rows = []
+        hg = metaloop.hypergrad
+
+        def counted(cache, clf_hat, meta_x, meta_targets):
+            rows.append(meta_x.shape[0])
+            return hg(cache, clf_hat, meta_x, meta_targets)
+
+        monkeypatch.setattr(metaloop, "hypergrad", counted)
+        cfg = desk_cfg(epochs=3)
+        state = meta_train(build_train_dataset(cfg), cfg, seed=0)
+        weighted = [r for r in state.history
+                    if r["epoch"] >= cfg.train.warmup_epochs]
+        assert not any(np.isnan(r["hypergrad_norm"]) for r in weighted)
+        assert rows == [cfg.train.meta_per_class * cfg.dataset.C] * len(weighted)
 
     def test_one_factor_pass_per_weighted_iteration(self, monkeypatch):
         calls = []
@@ -697,13 +706,13 @@ class TestMetaTrain:
 
     def test_config_validated(self):
         """A config edited after it was built is checked before training,
-        so a schedule without its keys is a ConfigError, not a KeyError."""
+        so a schedule without its kind is a ConfigError, not a KeyError."""
         cfg = desk_cfg(epochs=1)
         ds = build_train_dataset(cfg)
-        cfg.train.schedule = {"kind": "piecewise"}
-        with pytest.raises(ConfigError, match="milestones"):
+        cfg.train.schedule = {}
+        with pytest.raises(ConfigError, match="train.schedule.kind"):
             meta_train(ds, cfg, seed=0)
-        with pytest.raises(ConfigError, match="milestones"):
+        with pytest.raises(ConfigError, match="train.schedule.kind"):
             meta_test(None, ds, cfg, seed=0)
 
     def test_sl_variant_runs_and_is_deterministic(self):
@@ -810,9 +819,11 @@ class TestMetaTest:
 
 class TestSchedule:
     def test_piecewise_milestones(self):
-        sched = {"kind": "piecewise", "milestones": [0.5, 0.75], "gamma": 0.1}
-        assert metaloop._schedule_lr(sched, 1.0, 0, 0, 100) == 1.0
-        assert metaloop._schedule_lr(sched, 1.0, 50, 0, 100) == 0.1
+        # the rate drops tenfold at 60% and again at 80% of the epochs
+        sched = {"kind": "piecewise"}
+        assert metaloop._schedule_lr(sched, 1.0, 59, 0, 100) == 1.0
+        assert metaloop._schedule_lr(sched, 1.0, 60, 0, 100) == 0.1
+        assert metaloop._schedule_lr(sched, 1.0, 79, 0, 100) == 0.1
         assert abs(metaloop._schedule_lr(sched, 1.0, 80, 0, 100) - 0.01) < 1e-12
 
     def test_decay_preset(self):
