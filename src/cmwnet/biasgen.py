@@ -11,13 +11,13 @@ and hidden clean labels are preserved.
 from __future__ import annotations
 
 import csv
-import struct
+import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import CorruptArtifact, read_exact
+from .numkit import CorruptArtifact, array_shape, read_arrays, write_arrays
 
 
 @dataclass
@@ -66,11 +66,11 @@ class Dataset:
     mixture: GaussianMixtureSpec | None = None
 
     def __post_init__(self):
-        self.observed_labels = np.asarray(self.observed_labels, dtype=np.int64)
-        self.clean_labels = np.asarray(self.clean_labels, dtype=np.int64)
-        if self.observed_labels.min(initial=0) < 0 or \
-                self.observed_labels.max(initial=0) >= self.C:
-            raise ValueError("observed label out of range")
+        for name in ("observed_labels", "clean_labels"):
+            labels = np.asarray(getattr(self, name))
+            if labels.min(initial=0) < 0 or labels.max(initial=0) >= self.C:
+                raise ValueError(f"{name[:-1].replace('_', ' ')} out of range")
+            setattr(self, name, labels.astype(np.int64, copy=False))
 
     @property
     def n(self) -> int:
@@ -306,45 +306,32 @@ class BiasSpec:
 
 
 # ---------------------------------------------------------------------------
-# file formats
-
-_MAGIC = b"CMWD"
-_VERSION = 1
-_FLAG_MIXTURE = 1
+# files
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    flags = _FLAG_MIXTURE if ds.mixture is not None else 0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQQQI", _VERSION, ds.n, ds.d, ds.C, flags))
-        fh.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(ds.observed_labels, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(ds.clean_labels, dtype="<i8").tobytes())
-        if ds.mixture is not None:
-            fh.write(np.ascontiguousarray(ds.mixture.means, dtype="<f8").tobytes())
-            fh.write(struct.pack("<d", ds.mixture.sigma))
-            fh.write(np.ascontiguousarray(ds.mixture.priors, dtype="<f8").tobytes())
+    """The features, both label vectors and a 0-d class count as named
+    float64 arrays (exact for labels below 2**53)."""
+    write_arrays(path, {"features": ds.features, "observed": ds.observed_labels,
+                        "clean": ds.clean_labels, "C": np.float64(ds.C)})
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise CorruptArtifact(f"{path}: not a dataset file")
-        version, n, d, C, flags = struct.unpack("<IQQQI", read_exact(fh, 32, path))
-        if version != _VERSION:
-            raise CorruptArtifact(f"{path}: unsupported dataset version {version}")
-        feats = np.frombuffer(read_exact(fh, 8 * n * d, path), dtype="<f8").reshape(n, d).copy()
-        obs = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
-        clean = np.frombuffer(read_exact(fh, 8 * n, path), dtype="<i8").copy()
-        if flags & _FLAG_MIXTURE:
-            means = np.frombuffer(read_exact(fh, 8 * C * d, path), dtype="<f8").reshape(C, d).copy()
-            (sigma,) = struct.unpack("<d", read_exact(fh, 8, path))
-            priors = np.frombuffer(read_exact(fh, 8 * C, path), dtype="<f8").copy()
-    try:  # labels out of range, or an invalid mixture
-        mixture = (GaussianMixtureSpec(means, sigma, priors)
-                   if flags & _FLAG_MIXTURE else None)
-        return Dataset(feats, obs, clean, int(C), mixture)
+    arrays = read_arrays(path)
+    shape = functools.partial(array_shape, path, arrays)
+    n, _ = shape("features", (None, None))
+    shape("observed", (n,))
+    shape("clean", (n,))
+    shape("C", ())
+    if n == 0:
+        raise CorruptArtifact(f"{path}: empty dataset")
+    ints = np.concatenate([arrays["observed"], arrays["clean"],
+                           arrays["C"].ravel()])
+    if not np.all(np.isfinite(ints) & (ints == np.round(ints))):
+        raise CorruptArtifact(f"{path}: labels or class count not whole numbers")
+    try:  # labels out of range
+        return Dataset(arrays["features"], arrays["observed"], arrays["clean"],
+                       int(arrays["C"]))
     except ValueError as e:
         raise CorruptArtifact(f"{path}: {e}") from e
 

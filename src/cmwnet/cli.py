@@ -169,9 +169,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    out_path = Path(args.out) / "compare.csv" if args.out else None
-    if out_path is not None:
-        _resolve_out(args.out)
+    out_path = _resolve_out(args.out) / "compare.csv" if args.out else None
     header, row = compare(args.run_a, args.run_b, out_path)
     print(",".join(header))
     print(",".join(f"{v:.6g}" for v in row))

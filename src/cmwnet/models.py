@@ -7,14 +7,14 @@ each sample receives the weight of its task family's head.
 
 from __future__ import annotations
 
-import math
-import struct
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit
-from .numkit import CorruptArtifact, read_exact, relu, sigmoid, softmax, xent
+from .numkit import (array_shape, read_arrays, relu, sigmoid, softmax,
+                     write_arrays, xent)
 
 DEFAULT_HIDDEN = 100
 # losses above this reach the weighting net as this value
@@ -254,49 +254,7 @@ class WeightNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint serialization: named float64 arrays whose shapes give the
-# architecture
-
-_MAGIC = b"CMWC"
-_VERSION = 2
-
-
-def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f8")  # tobytes() is C order
-            nb = name.encode()
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
-
-
-def read_arrays(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise CorruptArtifact(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", read_exact(fh, 8, path))
-        if version != _VERSION:
-            raise CorruptArtifact(
-                f"{path}: unsupported checkpoint version {version} "
-                f"(expected {_VERSION})")
-        out = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
-            try:
-                name = read_exact(fh, nlen, path).decode()
-            except UnicodeDecodeError as e:
-                raise CorruptArtifact(f"{path}: bad array name ({e})") from e
-            (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
-            shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path))
-            size = math.prod(shape)  # a Python int, which cannot wrap
-            data = np.frombuffer(read_exact(fh, 8 * size, path), dtype="<f8")
-            out[name] = data.reshape(shape).copy()
-        return out
+# checkpoint: named float64 arrays whose shapes give the architecture
 
 
 def save_checkpoint(path, clf: Classifier, wnet: WeightNet | None = None,
@@ -324,17 +282,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Rebuild the models from the array shapes: the classifier has one layer
     per clf_W_i array, and a weighting net is present iff wn_W2 is."""
     arrays = read_arrays(path)
-
-    def shape(name: str, want: tuple) -> tuple:
-        """The shape of arrays[name], which must match `want` (None: any)."""
-        got = arrays[name].shape if name in arrays else None
-        if got is None or len(got) != len(want) or any(
-                w not in (None, g) for w, g in zip(want, got)):
-            found = "is missing" if got is None else f"has shape {got}"
-            raise CorruptArtifact(f"{path}: array {name} {found}, "
-                                  f"expected shape {want}")
-        return got
-
+    shape = functools.partial(array_shape, path, arrays)
     n_layers = max(1, sum(name.startswith("clf_W_") for name in arrays))
     sizes = [shape("clf_W_0", (None, None))[0]]
     for i in range(n_layers):

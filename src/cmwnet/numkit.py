@@ -1,15 +1,17 @@
 """Dense float64 numeric primitives.
 
 Activations and losses with hand-derived gradients, first-order optimizers,
-seeded RNG construction, exact-length reads for the binary artifact files
-(and the error for a corrupt one), and the central finite-difference oracle
-used by the test suite. No autodiff anywhere: every backward pass in this
-package is written out explicitly.
+seeded RNG construction, the named-float64-array file that holds every
+binary artifact (and the error for a corrupt one), and the central
+finite-difference oracle used by the test suite. No autodiff anywhere:
+every backward pass in this package is written out explicitly.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import struct
 
 import numpy as np
 
@@ -148,7 +150,7 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# flattening, exact binary reads and the finite-difference oracle
+# flattening, the array file and the finite-difference oracle
 
 
 def flatten(arrays: list[np.ndarray]) -> np.ndarray:
@@ -179,6 +181,62 @@ def read_exact(fh, size: int, path) -> bytes:
         raise CorruptArtifact(f"{path}: truncated file (needs {size} more "
                               f"bytes, has {left})")
     return fh.read(size)
+
+
+# array file: magic, version, count, then per array its name, its shape
+# and its float64 data in C order (little-endian throughout)
+_MAGIC = b"CMWC"
+_VERSION = 2
+
+
+def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC)
+        fh.write(struct.pack("<II", _VERSION, len(arrays)))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype="<f8")  # tobytes() is C order
+            nb = name.encode()
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            fh.write(arr.tobytes())
+
+
+def read_arrays(path) -> dict[str, np.ndarray]:
+    with open(path, "rb") as fh:
+        if fh.read(4) != _MAGIC:
+            raise CorruptArtifact(f"{path}: not a cmwnet array file")
+        version, count = struct.unpack("<II", read_exact(fh, 8, path))
+        if version != _VERSION:
+            raise CorruptArtifact(
+                f"{path}: unsupported array file version {version} "
+                f"(expected {_VERSION})")
+        out = {}
+        for _ in range(count):
+            (nlen,) = struct.unpack("<I", read_exact(fh, 4, path))
+            try:
+                name = read_exact(fh, nlen, path).decode()
+            except UnicodeDecodeError as e:
+                raise CorruptArtifact(f"{path}: bad array name ({e})") from e
+            (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
+            shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path))
+            size = math.prod(shape)  # a Python int, which cannot wrap
+            data = np.frombuffer(read_exact(fh, 8 * size, path), dtype="<f8")
+            out[name] = data.reshape(shape).copy()
+        return out
+
+
+def array_shape(path, arrays: dict, name: str, want: tuple) -> tuple:
+    """The shape of arrays[name], read from `path`, which must match `want`
+    (None: any length); CorruptArtifact naming the array if not."""
+    got = arrays[name].shape if name in arrays else None
+    if got is None or len(got) != len(want) or any(
+            w not in (None, g) for w, g in zip(want, got)):
+        found = "is missing" if got is None else f"has shape {got}"
+        raise CorruptArtifact(f"{path}: array {name} {found}, "
+                              f"expected shape {want}")
+    return got
 
 
 def finite_diff_grad(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -11,9 +11,9 @@ import pytest
 import yaml
 
 from cmwnet import cli, metaloop, metrics
-from cmwnet.biasgen import load_dataset, save_dataset
-from cmwnet.models import (Classifier, load_checkpoint, read_arrays,
-                           write_arrays)
+from cmwnet.biasgen import Dataset, load_dataset, save_dataset
+from cmwnet.models import Classifier, load_checkpoint
+from cmwnet.numkit import read_arrays, write_arrays
 
 
 def write_cfg(tmp_path, name="cfg.yaml", **overrides):
@@ -344,9 +344,9 @@ class TestExitCodes:
             version = 99 if keep == "version" else 1
             path.write_bytes(data[:4] + version.to_bytes(4, "little")
                              + data[8:])
-        elif keep == "length":  # a dataset's sample count: 2**46 bytes
-            path.write_bytes(data[:8] + (2 ** 40).to_bytes(8, "little")
-                             + data[16:])
+        elif keep == "length":  # features' first dimension: 2**46+ bytes
+            path.write_bytes(data[:28] + (2 ** 40).to_bytes(8, "little")
+                             + data[36:])
         elif keep == "name":  # first byte of a checkpoint's first array name
             path.write_bytes(data[:16] + b"\xff" + data[17:])
         elif keep == "dims":  # clf_W_0's shape: 2**64 entries in all
@@ -367,13 +367,20 @@ class TestExitCodes:
             else:
                 arrays["clf_W_1"] = arrays["clf_W_1"].ravel()
             write_arrays(path, arrays)
-        elif keep in ("label", "priors"):  # a dataset its loader must refuse
-            ds = load_dataset(path)
+        elif keep in ("label", "clean-label", "empty"):
+            ds = load_dataset(path)  # a dataset its loader must refuse
             if keep == "label":
                 ds.observed_labels[0] = ds.C
+            elif keep == "clean-label":
+                ds.clean_labels[0] = ds.C
             else:
-                ds.mixture.priors = 2.0 * ds.mixture.priors
+                ds = Dataset(ds.features[:0], ds.observed_labels[:0],
+                             ds.clean_labels[:0], ds.C)
             save_dataset(path, ds)
+        elif keep == "fraction":  # a label that is not a whole number
+            arrays = read_arrays(path)
+            arrays["observed"][0] += 0.5
+            write_arrays(path, arrays)
         else:
             path.write_bytes(data[:keep])
         return path
@@ -385,6 +392,7 @@ class TestExitCodes:
         assert str(path) in err[0]
         if isinstance(keep, int) or keep == "dims":
             assert "truncated" in err[0]
+        return err[0]
 
     @pytest.mark.parametrize("keep", [6, 100, -1, "magic", "version", "v1",
                                       "name", "dims", "missing",
@@ -403,7 +411,8 @@ class TestExitCodes:
         self.assert_io_failure(code, capsys, bad, keep)
 
     @pytest.mark.parametrize("keep", [20, 100, -1, "magic", "version",
-                                      "length", "label", "priors"])
+                                      "length", "label", "clean-label",
+                                      "fraction", "empty"])
     def test_truncated_dataset(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
@@ -413,6 +422,27 @@ class TestExitCodes:
         code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
                          "--out", str(tmp_path / "c"), "--dataset", str(data)])
         self.assert_io_failure(code, capsys, data, keep)
+
+    @pytest.mark.parametrize("command", ["curves", "meta-test"])
+    def test_file_of_the_wrong_kind(self, tmp_path, capsys, command):
+        # checkpoints and datasets share one container, so each loader
+        # names the array the other kind of file lacks
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
+        if command == "curves":
+            path, missing = out / "checkpoint.ckpt", "features"
+            code = cli.main(["curves", "--checkpoint", str(path),
+                             "--out", str(tmp_path / "c"),
+                             "--dataset", str(path)])
+        else:
+            path, missing = out / "train.cmwd", "clf_W_0"
+            code = cli.main(["meta-test", "--config", str(cfg),
+                             "--out", str(tmp_path / "dst"),
+                             "--checkpoint", str(path)])
+        line = self.assert_io_failure(code, capsys, path, command)
+        assert f"array {missing} is missing" in line
 
     def test_mwnet_alias_requires_k1(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "mwnet"}, model={"K": 3})
@@ -485,6 +515,16 @@ class TestCompare:
         assert cli.main(["compare", str(out), str(out),
                          "--out", str(cmp_dir)]) == 0
         assert (cmp_dir / "compare.csv").exists()
+
+    def test_compare_out_under_out_root(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["compare", str(out), str(out), "--out", "cmp"]) == 0
+        assert (tmp_path / "root" / "cmp" / "compare.csv").stat().st_size > 0
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestCurves:

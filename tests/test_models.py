@@ -5,7 +5,8 @@ import pytest
 
 from cmwnet import numkit
 from cmwnet.models import (LOSS_CLAMP, Classifier, WeightNet, load_checkpoint,
-                           read_arrays, save_checkpoint, write_arrays)
+                           save_checkpoint)
+from cmwnet.numkit import read_arrays, write_arrays
 from cmwnet.taskfam import assign_family
 from conftest import random_batch, tiny_classifier, tiny_weightnet
 
