@@ -327,7 +327,7 @@ def load_dataset(path) -> Dataset:
         raise CorruptArtifact(f"{path}: empty dataset")
     ints = np.concatenate([arrays["observed"], arrays["clean"],
                            arrays["C"].ravel()])
-    if not np.all(np.isfinite(ints) & (ints == np.round(ints))):
+    if not np.all(ints == np.round(ints)):
         raise CorruptArtifact(f"{path}: labels or class count not whole numbers")
     try:  # labels out of range
         return Dataset(arrays["features"], arrays["observed"], arrays["clean"],

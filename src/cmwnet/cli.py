@@ -59,28 +59,35 @@ def _load(args) -> ExperimentConfig:
 
 
 def _materialize(cfg: ExperimentConfig, out: str):
-    """Write the snapshot and both datasets; returns (dir, train, test)."""
-    out_dir = _resolve_out(out)
-    save_config(out_dir / "snapshot.yaml", cfg)
+    """Build both datasets, then write them and the snapshot; returns
+    (dir, train, test)."""
     train_ds = build_train_dataset(cfg)
     test_ds = build_test_dataset(cfg)
+    out_dir = _resolve_out(out)
+    save_config(out_dir / "snapshot.yaml", cfg)
     biasgen.save_dataset(out_dir / "train.cmwd", train_ds)
     biasgen.save_dataset(out_dir / "test.cmwd", test_ds)
     return out_dir, train_ds, test_ds
 
 
+def _load_weighted(path) -> models.Checkpoint:
+    """The checkpoint at path, which must hold a weighting net."""
+    ckpt = models.load_checkpoint(path)
+    if ckpt.weightnet is None:
+        raise ConfigError(f"checkpoint {path} has no weighting net")
+    return ckpt
+
+
 def run(cfg: ExperimentConfig, out: str) -> Path:
-    """Execute one experiment from a resolved config: build data, train,
-    persist all artifacts."""
-    out_dir, train_ds, test_ds = _materialize(cfg, out)
+    """Execute one experiment from a resolved config: load the checkpoint
+    (meta-test), build data, train, persist all artifacts."""
     variant = cfg.train.variant
-    if variant == "meta-test":
-        ckpt = models.load_checkpoint(cfg.train.checkpoint)
-        if ckpt.weightnet is None:
-            raise ConfigError(
-                f"checkpoint {cfg.train.checkpoint} has no weighting net")
-        state = metaloop.meta_test(ckpt.weightnet, train_ds, cfg,
-                                   test_ds=test_ds, seed=cfg.seed)
+    frozen = (_load_weighted(cfg.train.checkpoint).weightnet
+              if variant == "meta-test" else None)
+    out_dir, train_ds, test_ds = _materialize(cfg, out)
+    if frozen is not None:
+        state = metaloop.meta_test(frozen, train_ds, cfg, test_ds=test_ds,
+                                   seed=cfg.seed)
     else:
         state = metaloop.meta_train(train_ds, cfg, test_ds=test_ds,
                                     seed=cfg.seed)
@@ -178,19 +185,17 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_curves(args) -> int:
-    ckpt = models.load_checkpoint(args.checkpoint)
+    ckpt = _load_weighted(args.checkpoint)
+    ds = biasgen.load_dataset(args.dataset) if args.dataset else None
+    sizes = ckpt.classifier.sizes
+    if ds is not None and (ds.d, ds.C) != (sizes[0], sizes[-1]):
+        raise ConfigError(
+            f"dataset {args.dataset} has d={ds.d}, C={ds.C}; the "
+            f"checkpoint's classifier takes d={sizes[0]}, C={sizes[-1]}")
     out_dir = _resolve_out(args.out)
-    if ckpt.weightnet is None:
-        raise ConfigError(f"checkpoint {args.checkpoint} has no weighting net")
     metrics.write_weight_curve_csv(out_dir / "weight_curve.csv",
                                    ckpt.weightnet, LOSS_GRID)
-    if args.dataset:
-        ds = biasgen.load_dataset(args.dataset)
-        sizes = ckpt.classifier.sizes
-        if (ds.d, ds.C) != (sizes[0], sizes[-1]):
-            raise ConfigError(
-                f"dataset {args.dataset} has d={ds.d}, C={ds.C}; the "
-                f"checkpoint's classifier takes d={sizes[0]}, C={sizes[-1]}")
+    if ds is not None:
         metrics.write_histogram_csv(
             out_dir / "histogram.csv", ds,
             ckpt.classifier.losses(ds.features, ds.observed_labels))

@@ -19,6 +19,9 @@ from .numkit import (array_shape, read_arrays, relu, sigmoid, softmax,
 DEFAULT_HIDDEN = 100
 # losses above this reach the weighting net as this value
 LOSS_CLAMP = 50.0
+# WeightNet.weight runs this many rows at a time, so a pass over a whole
+# dataset holds (WEIGHT_ROWS x H) temporaries rather than (n x H) ones
+WEIGHT_ROWS = 256
 
 
 def _fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -249,8 +252,15 @@ class WeightNet:
         return v, dv
 
     def weight(self, losses: np.ndarray, fam: np.ndarray) -> np.ndarray:
-        """The v of weight_and_grad, without forming dv."""
-        return self._gated(losses, fam)[-1]
+        """The v of weight_and_grad, without forming dv, WEIGHT_ROWS rows at
+        a time. Each row's weight depends only on that row, so the result
+        is bit-identical to one pass over all rows."""
+        losses = np.atleast_1d(np.asarray(losses, dtype=np.float64))
+        fam = np.atleast_1d(np.asarray(fam))
+        # at least one slice, so that no rows give an empty array
+        v = [self._gated(losses[i:i + WEIGHT_ROWS], fam[i:i + WEIGHT_ROWS])[-1]
+             for i in range(0, max(losses.shape[0], 1), WEIGHT_ROWS)]
+        return v[0] if len(v) == 1 else np.concatenate(v)
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,9 @@ def read_arrays(path) -> dict[str, np.ndarray]:
             shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path))
             size = math.prod(shape)  # a Python int, which cannot wrap
             data = np.frombuffer(read_exact(fh, 8 * size, path), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise CorruptArtifact(f"{path}: array {name} holds a "
+                                      f"non-finite value")
             out[name] = data.reshape(shape).copy()
         return out
 

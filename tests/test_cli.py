@@ -37,6 +37,16 @@ def write_cfg(tmp_path, name="cfg.yaml", **overrides):
     return path
 
 
+# damage() cases that put a NaN or -inf into this array
+NON_FINITE = {"nan-feature": "features", "nan-weight": "clf_W_0",
+              "inf-weight": "clf_W_0"}
+
+
+def files_under(path):
+    """Every file under path (none if it does not exist)."""
+    return [p for p in Path(path).rglob("*") if p.is_file()]
+
+
 class TestTrain:
     def test_artifacts_written(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -327,6 +337,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert name in err[0]
+        assert files_under(tmp_path / "c") == []
 
     def test_io_error_missing_config(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "absent.yaml"),
@@ -381,6 +392,11 @@ class TestExitCodes:
             arrays = read_arrays(path)
             arrays["observed"][0] += 0.5
             write_arrays(path, arrays)
+        elif keep in NON_FINITE:
+            arrays = read_arrays(path)
+            arrays[NON_FINITE[keep]][0, 0] = (-np.inf if keep == "inf-weight"
+                                              else np.nan)
+            write_arrays(path, arrays)
         else:
             path.write_bytes(data[:keep])
         return path
@@ -392,12 +408,15 @@ class TestExitCodes:
         assert str(path) in err[0]
         if isinstance(keep, int) or keep == "dims":
             assert "truncated" in err[0]
+        if keep in NON_FINITE:
+            assert (f"array {NON_FINITE[keep]} holds a non-finite value"
+                    in err[0])
         return err[0]
 
     @pytest.mark.parametrize("keep", [6, 100, -1, "magic", "version", "v1",
                                       "name", "dims", "missing",
                                       "bias-length", "not-2d", "clf-shape",
-                                      "wn-shape"])
+                                      "wn-shape", "nan-weight", "inf-weight"])
     def test_truncated_checkpoint(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         src = tmp_path / "src"
@@ -409,10 +428,11 @@ class TestExitCodes:
                          "--out", str(tmp_path / "dst"),
                          "--checkpoint", str(ckpt)])
         self.assert_io_failure(code, capsys, bad, keep)
+        assert files_under(tmp_path / "dst") == []
 
     @pytest.mark.parametrize("keep", [20, 100, -1, "magic", "version",
                                       "length", "label", "clean-label",
-                                      "fraction", "empty"])
+                                      "fraction", "empty", "nan-feature"])
     def test_truncated_dataset(self, tmp_path, capsys, keep):
         cfg = write_cfg(tmp_path)
         out = tmp_path / "run"
@@ -422,6 +442,7 @@ class TestExitCodes:
         code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
                          "--out", str(tmp_path / "c"), "--dataset", str(data)])
         self.assert_io_failure(code, capsys, data, keep)
+        assert files_under(tmp_path / "c") == []
 
     @pytest.mark.parametrize("command", ["curves", "meta-test"])
     def test_file_of_the_wrong_kind(self, tmp_path, capsys, command):
@@ -443,6 +464,7 @@ class TestExitCodes:
                              "--checkpoint", str(path)])
         line = self.assert_io_failure(code, capsys, path, command)
         assert f"array {missing} is missing" in line
+        assert files_under(tmp_path / "c") + files_under(tmp_path / "dst") == []
 
     def test_mwnet_alias_requires_k1(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "mwnet"}, model={"K": 3})
@@ -485,6 +507,7 @@ class TestMetaTestCommand:
                          "--out", str(tmp_path / "dst"),
                          "--checkpoint", str(src / "checkpoint.ckpt")])
         assert code == 2
+        assert files_under(tmp_path / "dst") == []
 
 
 class TestCompare:
@@ -548,3 +571,4 @@ class TestCurves:
         code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
                          "--out", str(tmp_path / "c")])
         assert code == 2
+        assert files_under(tmp_path / "c") == []

@@ -1,11 +1,13 @@
 """Classifier and weighting-network forward/backward checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cmwnet import numkit
-from cmwnet.models import (LOSS_CLAMP, Classifier, WeightNet, load_checkpoint,
-                           save_checkpoint)
+from cmwnet.models import (LOSS_CLAMP, WEIGHT_ROWS, Classifier, WeightNet,
+                           load_checkpoint, save_checkpoint)
 from cmwnet.numkit import read_arrays, write_arrays
 from cmwnet.taskfam import assign_family
 from conftest import random_batch, tiny_classifier, tiny_weightnet
@@ -260,6 +262,39 @@ class TestWeightJacobianOracle:
         assert np.array_equal(dv, want)
 
 
+class TestWeightInRowBlocks:
+    """weight runs WEIGHT_ROWS rows at a time and still equals one pass
+    over all rows, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, WEIGHT_ROWS - 1, WEIGHT_ROWS,
+                                   3 * WEIGHT_ROWS + 7])
+    def test_equals_one_pass(self, n):
+        rng = np.random.default_rng(n)
+        K, H = int(rng.integers(1, 5)), int(rng.integers(1, 120))
+        wn = WeightNet.init(K, rng, hidden=H)
+        losses = rng.exponential(3.0, size=n)
+        losses[:1] = 80.0                          # clamped to 50
+        fam = rng.integers(0, K, size=n)
+        v = wn.weight(losses, fam)
+        assert v.shape == (n,)
+        assert np.array_equal(v, wn._gated(losses, fam)[-1])
+
+    def test_memory_does_not_grow_with_n_times_h(self):
+        # one pass over these rows holds three 40 MB (n x H) arrays
+        rng = np.random.default_rng(0)
+        n, H = 50_000, 100
+        wn = WeightNet.init(3, rng, hidden=H)
+        losses = rng.exponential(2.0, size=n)
+        fam = rng.integers(0, 3, size=n)
+        tracemalloc.start()
+        try:
+            wn.weight(losses, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
 class TestCmwWeight:
     def test_zero_theta_weight_half(self, rng):
         wn = tiny_weightnet(rng, K=3)
@@ -308,6 +343,14 @@ class TestCheckpoint:
             assert back[k].shape == arrays[k].shape, k
             np.testing.assert_array_equal(back[k],
                                           np.asarray(arrays[k], dtype="<f8"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        path = tmp_path / "arrays.bin"
+        write_arrays(path, {"ok": np.ones(2), "w": np.array([[0.0, bad]])})
+        with pytest.raises(numkit.CorruptArtifact,
+                           match=f"{path}: array w holds a non-finite value"):
+            read_arrays(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
