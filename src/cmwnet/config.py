@@ -104,12 +104,16 @@ class TrainConfig:
             raise ConfigError("train.variant=mwnet requires model.K=1")
         if self.variant == "meta-test" and not self.checkpoint:
             raise ConfigError("train.variant=meta-test requires train.checkpoint")
-        if self.epochs < 0:
-            raise ConfigError("train.epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("train.batch_size must be >= 1")
         if self.meta_per_class < 1:
             raise ConfigError("train.meta_per_class must be >= 1")
+        # a negative rate or decay would ascend the loss; zero stays valid
+        for name in ("epochs", "lr", "theta_lr", "weight_decay",
+                     "theta_weight_decay", "warmup_epochs"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError(f"train.{name} must be >= 0, got {value}")
         if self.schedule.get("kind") not in ("piecewise", "decay"):
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")
         bad = sorted(f"train.schedule.{k}" for k in self.schedule if k != "kind")

@@ -24,9 +24,9 @@ import numpy as np
 from . import metrics
 from .biasgen import Dataset
 from .config import ConfigError
-from .models import Classifier, WeightNet
-from .numkit import (Adam, SgdMomentum, softmax, softmax_xent, spawn_rngs,
-                     unflatten_like)
+from .models import Classifier, WeightNet, layer_views
+from .numkit import (Adam, SgdMomentum, flatten, softmax, softmax_xent,
+                     spawn_rngs)
 from .taskfam import FamilyIndex, kmeans_1d
 
 MOMENTUM = 0.9               # the classifier's SGD momentum
@@ -93,14 +93,15 @@ class StepFactors:
     Row j adds w_j * outer(acts[l][j], deltas[l][j]) to layer l's weight
     gradient and w_j * deltas[l][j] to its bias gradient; w_j is the weight
     of (losses[j], fams[j]), over the batch sum if `normalize` (and that sum
-    is nonzero). `fixed` is the unweighted rest, or None.
+    is nonzero). `fixed` is the unweighted rest laid out like
+    Classifier.flat, or None.
     """
     acts: list[np.ndarray]
     deltas: list[np.ndarray]
     losses: np.ndarray
     fams: np.ndarray
     normalize: bool
-    fixed: list[np.ndarray] | None = None
+    fixed: np.ndarray | None = None
 
 
 @dataclass
@@ -113,15 +114,18 @@ class VirtualStepCache:
     theta_flat: np.ndarray   # its Theta at that time, staleness guard
 
 
-def _step_grads(f: StepFactors, v: np.ndarray) -> list[np.ndarray]:
-    """The step under raw weights v, aligned with Classifier.params."""
+def _step_grads(f: StepFactors, v: np.ndarray, where: str) -> np.ndarray:
+    """The step under raw weights v, laid out like Classifier.flat; raises
+    FloatingPointError naming `where` if it is not finite."""
     s = v.sum()
     w = v / s if f.normalize and s != 0.0 else v
-    grads = ([a.T @ (w[:, None] * d) for a, d in zip(f.acts, f.deltas)]
-             + [w @ d for d in f.deltas])
+    grad = flatten([a.T @ (w[:, None] * d) for a, d in zip(f.acts, f.deltas)]
+                   + [w @ d for d in f.deltas])
     if f.fixed is not None:
-        grads = [g + c for g, c in zip(grads, f.fixed)]
-    return grads
+        grad += f.fixed
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError(f"non-finite gradient in {where}")
+    return grad
 
 
 def _factors(clf: Classifier, x: np.ndarray, targets: np.ndarray,
@@ -133,12 +137,8 @@ def _factors(clf: Classifier, x: np.ndarray, targets: np.ndarray,
 
 def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float):
     v, dv = wnet.weight_and_grad(f.losses, f.fams)
-    grads = _step_grads(f, v)
-    if not all(np.all(np.isfinite(g)) for g in grads):
-        raise FloatingPointError("non-finite gradient in virtual step")
-    hat = [p - alpha * g for p, g in zip(clf.params, grads)]
-    n_layers = len(clf.weights)
-    clf_hat = Classifier(clf.sizes, hat[:n_layers], hat[n_layers:])
+    grad = _step_grads(f, v, "virtual step")
+    clf_hat = Classifier(clf.sizes, clf.flat - alpha * grad)
     return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet, wnet.get_flat())
 
 
@@ -146,11 +146,9 @@ def _real_step(clf: Classifier, optimizer, wnet: WeightNet, f: StepFactors,
                alpha: float) -> np.ndarray:
     """Optimizer step with the weights at the current Theta; returns them."""
     v = wnet.weight(f.losses, f.fams)
-    grads = _step_grads(f, v)
-    if not all(np.all(np.isfinite(g)) for g in grads):
-        raise FloatingPointError("non-finite gradient in classifier update")
+    grad = _step_grads(f, v, "classifier update")
     optimizer.lr = alpha
-    optimizer.step(clf.params, grads)
+    optimizer.step(clf.flat, grad)
     return v
 
 
@@ -178,14 +176,13 @@ def hypergrad(cache: VirtualStepCache, clf_hat: Classifier,
     sensitivity (quotient rule in normalized mode). Raises RuntimeError if
     the weighting net changed since the virtual step.
     """
-    if not np.array_equal(cache.wnet.get_flat(), cache.theta_flat):
+    if not np.array_equal(cache.wnet.flat, cache.theta_flat):
         raise RuntimeError("stale cache: Theta changed since the virtual step")
     meta_loss, gbar = clf_hat.mean_grad(meta_x, meta_targets)
     f = cache.factors
-    n_layers = len(f.acts)
     c = sum(((a @ gw) * d).sum(axis=1) + d @ gb
-            for a, d, gw, gb in zip(f.acts, f.deltas, gbar[:n_layers],
-                                    gbar[n_layers:]))
+            for a, d, gw, gb in zip(f.acts, f.deltas,
+                                    *layer_views(clf_hat.sizes, gbar)))
     grad = c @ cache.dv
     s = cache.v.sum()
     if f.normalize and s != 0.0:
@@ -198,10 +195,7 @@ def meta_update(wnet: WeightNet, optimizer, grad_flat: np.ndarray) -> None:
     """Apply one optimizer step to the weighting-net parameters."""
     if not np.all(np.isfinite(grad_flat)):
         raise FloatingPointError("non-finite hypergradient")
-    params = wnet.params
-    grads = unflatten_like(grad_flat, params)
-    optimizer.step(params, grads)
-    wnet.W1, wnet.b1, wnet.W2, wnet.b2 = params
+    optimizer.step(wnet.flat, grad_flat)
 
 
 def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
@@ -219,9 +213,9 @@ def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
 def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
                alpha: float) -> float:
     """Plain mean-CE SGD step; returns the batch mean loss."""
-    loss, grads = clf.mean_grad(x, targets)
+    loss, grad = clf.mean_grad(x, targets)
     optimizer.lr = alpha
-    optimizer.step(clf.params, grads)
+    optimizer.step(clf.flat, grad)
     return loss
 
 
@@ -233,8 +227,7 @@ def ema_update(w_wa: Classifier, clf: Classifier, beta_wa: float) -> None:
     """w_wa <- beta*w_wa + (1-beta)*w, in place."""
     if not 0.0 <= beta_wa < 1.0:
         raise ValueError("beta_wa must be in [0, 1)")
-    flat = beta_wa * w_wa.get_flat() + (1.0 - beta_wa) * clf.get_flat()
-    w_wa.set_flat(flat)
+    w_wa.flat[...] = beta_wa * w_wa.flat + (1.0 - beta_wa) * clf.flat
 
 
 def temporal_ensemble(z_rows: np.ndarray, p_rows: np.ndarray,
@@ -273,8 +266,8 @@ def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
     p = softmax(logits)
     fixed_deltas = clf.backward(
         pre, (lam * (p - z_a) + (1.0 - lam) * (p - z_b)) / n)
-    fixed = ([a.T @ d for a, d in zip(acts, fixed_deltas)]
-             + [d.sum(axis=0) for d in fixed_deltas])
+    fixed = flatten([a.T @ d for a, d in zip(acts, fixed_deltas)]
+                    + [d.sum(axis=0) for d in fixed_deltas])
     rows = np.concatenate([lam * (z_a - _onehot(y_a, C)),
                            (1.0 - lam) * (z_b - _onehot(y_b, C))]) / n
     deltas = clf.backward([np.concatenate([z, z]) for z in pre], rows)
@@ -409,8 +402,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
                        theta_opt=theta_opt)
     if variant == "cmwnet-sl":
         state.z = _onehot(ds.observed_labels, ds.C)
-        state.w_wa = clf.copy()
-        state.w_wa.set_flat(np.zeros(clf.n_params))
+        state.w_wa = Classifier(clf.sizes, np.zeros_like(clf.flat))
     return _train(state, ds, cfg, test_ds, rng_order, rng_meta, rng_sl)
 
 
@@ -452,8 +444,8 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     K = state.fam.K if state.fam is not None else 1
     fams_all = None
     if state.fam is not None:
-        fams_all = np.array([state.fam.class_to_family[int(c)]
-                             for c in ds.observed_labels])
+        fams_all = np.array([state.fam.class_to_family[c]
+                             for c in range(ds.C)])[ds.observed_labels]
     state.logger = MetricLogger(K=K)
     n = ds.n
     batch = min(tc.batch_size, n)

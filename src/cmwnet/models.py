@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .numkit import (array_shape, read_arrays, relu, sigmoid, softmax,
-                     write_arrays, xent)
+from .numkit import (array_shape, flatten, read_arrays, relu, sigmoid,
+                     softmax, write_arrays, xent)
 
 DEFAULT_HIDDEN = 100
 # losses above this reach the weighting net as this value
@@ -24,52 +24,38 @@ LOSS_CLAMP = 50.0
 WEIGHT_ROWS = 256
 
 
-def _fan_in_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(rows)
-    return rng.uniform(-bound, bound, size=(rows, cols))
+def _fan_in_uniform(rng: np.random.Generator, out: np.ndarray,
+                    fan_in: int) -> None:
+    """Fill `out` in place with U(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws."""
+    bound = 1.0 / np.sqrt(fan_in)
+    out[...] = rng.uniform(-bound, bound, size=out.shape)
+
+
+def layer_views(sizes: list[int], flat: np.ndarray):
+    """(weights, biases): per-layer views of a classifier-shaped vector,
+    every weight matrix first, then every bias."""
+    pairs = list(zip(sizes[:-1], sizes[1:]))
+    arrays = numkit.views(flat, pairs + [(d_out,) for _, d_out in pairs])
+    return arrays[:len(pairs)], arrays[len(pairs):]
 
 
 class Classifier:
-    """MLP over float64 arrays; parameters live in self.weights/self.biases."""
+    """MLP over float64 arrays. Its parameters are one vector, self.flat;
+    self.weights and self.biases are views into it."""
 
-    def __init__(self, sizes: list[int], weights: list[np.ndarray],
-                 biases: list[np.ndarray]):
+    def __init__(self, sizes: list[int], flat: np.ndarray):
         self.sizes = list(sizes)
-        self.weights = weights
-        self.biases = biases
+        self.flat = flat
+        self.weights, self.biases = layer_views(self.sizes, flat)
 
     @classmethod
     def init(cls, sizes: list[int], rng: np.random.Generator) -> "Classifier":
-        weights, biases = [], []
-        for d_in, d_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(_fan_in_uniform(rng, d_in, d_out))
-            bound = 1.0 / np.sqrt(d_in)
-            biases.append(rng.uniform(-bound, bound, size=d_out))
-        return cls(sizes, weights, biases)
-
-    # -- parameter plumbing ------------------------------------------------
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.weights + self.biases
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params)
-
-    def get_flat(self) -> np.ndarray:
-        return numkit.flatten(self.params)
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        arrays = numkit.unflatten_like(vec, self.params)
-        n_layers = len(self.weights)
-        for i in range(n_layers):
-            self.weights[i] = arrays[i]
-            self.biases[i] = arrays[n_layers + i]
-
-    def copy(self) -> "Classifier":
-        return Classifier(self.sizes, [w.copy() for w in self.weights],
-                          [b.copy() for b in self.biases])
+        clf = cls(sizes, np.empty(sum((d_in + 1) * d_out for d_in, d_out
+                                      in zip(sizes[:-1], sizes[1:]))))
+        for W, b in zip(clf.weights, clf.biases):
+            _fan_in_uniform(rng, W, W.shape[0])
+            _fan_in_uniform(rng, b, W.shape[0])
+        return clf
 
     # -- forward / backward ------------------------------------------------
 
@@ -127,13 +113,12 @@ class Classifier:
         return deltas
 
     def mean_grad(self, x: np.ndarray, targets: np.ndarray):
-        """(mean loss, grads list aligned with self.params)."""
+        """(mean loss, its gradient laid out like self.flat)."""
         acts, pre = self.forward_cached(x)
         loss, dlogits = xent(acts[-1], targets)
         deltas = self.backward(pre, dlogits / x.shape[0])
-        gw = [a.T @ d for a, d in zip(acts, deltas)]
-        gb = [d.sum(axis=0) for d in deltas]
-        return loss.mean(), gw + gb
+        return loss.mean(), flatten([a.T @ d for a, d in zip(acts, deltas)]
+                                    + [d.sum(axis=0) for d in deltas])
 
     def factors(self, x: np.ndarray, targets: np.ndarray):
         """(per-sample losses [n], layer inputs, layer deltas) of one forward
@@ -147,7 +132,7 @@ class Classifier:
         """(per-sample losses [n], per-sample flat gradients [n x P]).
 
         Row j is the gradient of sample j's own loss w.r.t. all parameters,
-        flattened in self.params order. Training never forms this matrix;
+        laid out like self.flat. Training never forms this matrix;
         the tests use it as the oracle for the factored step.
         """
         loss, acts, deltas = self.factors(x, targets)
@@ -162,50 +147,39 @@ class Classifier:
 
 
 class WeightNet:
-    """Loss -> per-family weight net: shared hidden layer, K sigmoid heads."""
+    """Loss -> per-family weight net: shared hidden layer, K sigmoid heads.
+    Its parameters Theta are one vector, self.flat; W1 (1 x H), b1 (H,),
+    W2 (H x K) and b2 (K,) are views into it, in that order."""
 
-    def __init__(self, W1, b1, W2, b2):
-        self.W1 = W1  # (1, H)
-        self.b1 = b1  # (H,)
-        self.W2 = W2  # (H, K)
-        self.b2 = b2  # (K,)
+    def __init__(self, hidden: int, K: int, flat: np.ndarray):
+        self.hidden, self.K = hidden, K
+        self.flat = flat
+        self.W1, self.b1, self.W2, self.b2 = numkit.views(
+            flat, [(1, hidden), (hidden,), (hidden, K), (K,)])
 
     @classmethod
     def init(cls, K: int, rng: np.random.Generator,
              hidden: int = DEFAULT_HIDDEN) -> "WeightNet":
         if K < 1:
             raise ValueError("K must be >= 1")
-        W1 = _fan_in_uniform(rng, 1, hidden)
-        b1 = rng.uniform(-1.0, 1.0, size=hidden)
-        W2 = _fan_in_uniform(rng, hidden, K)
-        b2 = np.zeros(K)  # heads start near 0.5
-        return cls(W1, b1, W2, b2)
-
-    @property
-    def K(self) -> int:
-        return self.W2.shape[1]
-
-    @property
-    def hidden(self) -> int:
-        return self.W1.shape[1]
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return [self.W1, self.b1, self.W2, self.b2]
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params)
+        wnet = cls(hidden, K, np.empty((2 + K) * hidden + K))
+        _fan_in_uniform(rng, wnet.W1, 1)
+        _fan_in_uniform(rng, wnet.b1, 1)
+        _fan_in_uniform(rng, wnet.W2, hidden)
+        wnet.b2[...] = 0.0  # heads start near 0.5
+        return wnet
 
     def get_flat(self) -> np.ndarray:
-        return numkit.flatten(self.params)
+        return self.flat.copy()
 
     def set_flat(self, vec: np.ndarray) -> None:
-        self.W1, self.b1, self.W2, self.b2 = numkit.unflatten_like(vec, self.params)
+        if np.shape(vec) != self.flat.shape:
+            raise ValueError(f"flat vector shape {np.shape(vec)} != "
+                             f"{self.flat.shape}")
+        self.flat[...] = vec
 
     def copy(self) -> "WeightNet":
-        return WeightNet(self.W1.copy(), self.b1.copy(), self.W2.copy(),
-                         self.b2.copy())
+        return WeightNet(self.hidden, self.K, self.flat.copy())
 
     def _clamped(self, losses: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(losses)):
@@ -215,7 +189,7 @@ class WeightNet:
     def forward(self, losses: np.ndarray) -> np.ndarray:
         """All K head outputs for each loss; shape (n, K), entries in (0, 1)."""
         ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
-        h = relu(ell[:, None] @ self.W1 + self.b1)
+        h = relu(ell[:, None] * self.W1 + self.b1)
         return sigmoid(h @ self.W2 + self.b2)
 
     def _gated(self, losses: np.ndarray, fam: np.ndarray):
@@ -223,7 +197,7 @@ class WeightNet:
         z1, h, W2[:, fam], v) with v_j = head[fam_j](loss_j)."""
         ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
         fam = np.atleast_1d(np.asarray(fam))
-        z1 = ell[:, None] @ self.W1 + self.b1           # (n, H)
+        z1 = ell[:, None] * self.W1 + self.b1           # (n, H)
         h = relu(z1)
         w2 = self.W2[:, fam]                            # (H, n)
         z2 = np.einsum("nh,hn->n", h, w2) + self.b2[fam]
@@ -232,7 +206,7 @@ class WeightNet:
     def weight_and_grad(self, losses: np.ndarray, fam: np.ndarray):
         """Per-sample gated weight v_j = head[fam_j](loss_j) and dv_j/dTheta.
 
-        Returns (v [n], dv [n x PTheta]) with dv rows flattened in params order.
+        Returns (v [n], dv [n x PTheta]) with dv rows laid out like self.flat.
         """
         ell, fam, z1, h, w2, v = self._gated(losses, fam)
         n = ell.shape[0]
@@ -242,7 +216,7 @@ class WeightNet:
         dz2 = v * (1.0 - v)                             # (n,)
         dz1 = dz2[:, None] * w2.T * (z1 > 0)            # (n, H)
         rows = np.arange(n)
-        dv = np.zeros((n, self.n_params))
+        dv = np.zeros((n, self.flat.size))
         dv[:, :H] = dz1 * ell[:, None]                  # W1 (1 x H)
         dv[:, H:2 * H] = dz1                            # b1
         # a view of the W2 block, so the indexed write lands in dv
@@ -298,15 +272,15 @@ def load_checkpoint(path) -> Checkpoint:
     for i in range(n_layers):
         sizes.append(shape(f"clf_W_{i}", (sizes[i], None))[1])
         shape(f"clf_b_{i}", (sizes[-1],))
-    clf = Classifier(sizes, [arrays[f"clf_W_{i}"] for i in range(n_layers)],
-                     [arrays[f"clf_b_{i}"] for i in range(n_layers)])
+    clf = Classifier(sizes, flatten(
+        [arrays[f"clf_{kind}_{i}"] for kind in "Wb" for i in range(n_layers)]))
     wnet = centers = None
     if "wn_W2" in arrays:
         H, K = shape("wn_W2", (None, None))
         for name, want in (("wn_W1", (1, H)), ("wn_b1", (H,)), ("wn_b2", (K,))):
             shape(name, want)
-        wnet = WeightNet(arrays["wn_W1"], arrays["wn_b1"], arrays["wn_W2"],
-                         arrays["wn_b2"])
+        wnet = WeightNet(H, K, flatten([arrays[name] for name in
+                                        ("wn_W1", "wn_b1", "wn_W2", "wn_b2")]))
     if "centers" in arrays:
         shape("centers", (None,))
         centers = arrays["centers"]

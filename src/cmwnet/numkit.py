@@ -88,7 +88,16 @@ def xent(logits: np.ndarray, targets: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# optimizers (operate in place on lists of parameter arrays)
+# optimizers (operate in place on one parameter vector)
+
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def _decayed(p: np.ndarray, g: np.ndarray, weight_decay: float) -> np.ndarray:
+    if p.shape != g.shape:
+        raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
+    return g + weight_decay * p if weight_decay else g
 
 
 class SgdMomentum:
@@ -98,73 +107,60 @@ class SgdMomentum:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.buffers: list[np.ndarray] | None = None
+        self.buffer: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ValueError("params/grads length mismatch")
-        if self.buffers is None:
-            self.buffers = [np.zeros_like(p) for p in params]
-        for p, g, buf in zip(params, grads, self.buffers):
-            if p.shape != g.shape:
-                raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-            d = g + self.weight_decay * p if self.weight_decay else g
-            buf *= self.momentum
-            buf += d
-            p -= self.lr * buf
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        d = _decayed(p, g, self.weight_decay)
+        if self.buffer is None:
+            self.buffer = np.zeros_like(p)
+        self.buffer *= self.momentum
+        self.buffer += d
+        p -= self.lr * self.buffer
 
 
 class Adam:
     """Adam with bias correction; weight decay added to the gradient."""
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if len(params) != len(grads):
-            raise ValueError("params/grads length mismatch")
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        d = _decayed(p, g, self.weight_decay)
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
         self.step_count += 1
-        t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            if p.shape != g.shape:
-                raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-            d = g + self.weight_decay * p if self.weight_decay else g
-            m *= self.beta1
-            m += (1.0 - self.beta1) * d
-            v *= self.beta2
-            v += (1.0 - self.beta2) * d * d
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        bc1 = 1.0 - ADAM_BETA1 ** self.step_count
+        bc2 = 1.0 - ADAM_BETA2 ** self.step_count
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * d
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * d * d
+        p -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
-# flattening, the array file and the finite-difference oracle
+# parameter views, the array file and the finite-difference oracle
 
 
 def flatten(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([a.ravel() for a in arrays])
 
 
-def unflatten_like(vec: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
-    out = []
-    i = 0
-    for a in arrays:
-        out.append(vec[i:i + a.size].reshape(a.shape))
-        i += a.size
-    if i != vec.size:
-        raise ValueError(f"flat vector length {vec.size} != parameter count {i}")
+def views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of consecutive slices of `flat` in the given shapes, which must
+    cover it exactly: a write to a view is a write to `flat`."""
+    out, i = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[i:i + size].reshape(shape))
+        i += size
+    if i != flat.size:
+        raise ValueError(f"flat vector length {flat.size} != parameter "
+                         f"count {i}")
     return out
 
 

@@ -80,6 +80,18 @@ class TestTrain:
         assert (out1 / "metrics.csv").read_bytes() == \
                (out2 / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("variant", ["cmwnet", "cmwnet-sl"])
+    def test_rerun_reproduces_checkpoint_and_report(self, tmp_path, variant):
+        cfg = write_cfg(tmp_path, train={"variant": variant})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["train", "--config", str(cfg), "--out",
+                         str(out1)]) == 0
+        assert cli.main(["train", "--config", str(out1 / "snapshot.yaml"),
+                         "--out", str(out2)]) == 0
+        for name in ("checkpoint.ckpt", "report.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), \
+                name
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -188,6 +200,12 @@ class TestExitCodes:
         ({"momentum": 0.9}, "train.momentum"),
         ({"schedule": {"kind": "piecewise", "gamma": 0.1}},
          "train.schedule.gamma"),
+        # a negative rate or decay would ascend the loss
+        ({"lr": -0.1}, "train.lr"),
+        ({"theta_lr": -5e-3}, "train.theta_lr"),
+        ({"weight_decay": -1e-4}, "train.weight_decay"),
+        ({"theta_weight_decay": -1e-4}, "train.theta_weight_decay"),
+        ({"warmup_epochs": -1}, "train.warmup_epochs"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, train, field):
         self.assert_config_error(write_cfg(tmp_path, train=train), tmp_path,

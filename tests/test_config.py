@@ -41,6 +41,14 @@ class TestValidation:
             config_from_dict({"dataset": {"bias": [{"kind": "nope"}]}})
         assert "bias" in str(exc.value)
 
+    @pytest.mark.parametrize("name", ["epochs", "lr", "theta_lr",
+                                      "weight_decay", "theta_weight_decay",
+                                      "warmup_epochs"])
+    def test_negative_count_or_rate_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"train.{name} must be >= 0"):
+            config_from_dict({"train": {name: -1}})
+        config_from_dict({"train": {name: 0}})
+
     def test_bad_schedule(self):
         with pytest.raises(ConfigError):
             config_from_dict({"train": {"schedule": {"kind": "cosine"}}})

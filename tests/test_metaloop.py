@@ -37,13 +37,13 @@ class TestVirtualStep:
     def test_zero_theta_unnormalized_half_weights(self, rng):
         clf = tiny_classifier(rng)
         wnet = tiny_weightnet(rng)
-        wnet.set_flat(np.zeros(wnet.n_params))
+        wnet.flat[...] = 0.0
         x, y = random_batch(rng, 5, 3, 4)
         fams = np.zeros(5, dtype=np.int64)
         _, g = clf.per_sample_grads(x, y)
         clf_hat, cache = virtual_step(clf, wnet, x, y, fams, 0.1, False)
-        expected = clf.get_flat() - 0.1 * 0.5 * g.sum(axis=0)
-        np.testing.assert_allclose(clf_hat.get_flat(), expected, atol=1e-12)
+        expected = clf.flat - 0.1 * 0.5 * g.sum(axis=0)
+        np.testing.assert_allclose(clf_hat.flat, expected, atol=1e-12)
         np.testing.assert_allclose(cache.v, np.full(5, 0.5))
 
     def test_alpha_zero_no_move(self, rng):
@@ -52,7 +52,7 @@ class TestVirtualStep:
         x, y = random_batch(rng, 5, 3, 4)
         clf_hat, _ = virtual_step(clf, wnet, x, y, np.zeros(5, dtype=np.int64),
                                   0.0, True)
-        np.testing.assert_array_equal(clf_hat.get_flat(), clf.get_flat())
+        np.testing.assert_array_equal(clf_hat.flat, clf.flat)
 
     def test_normalized_single_sample_weight_one(self, rng):
         clf = tiny_classifier(rng)
@@ -61,8 +61,8 @@ class TestVirtualStep:
         fams = np.zeros(1, dtype=np.int64)
         _, g = clf.per_sample_grads(x, y)
         clf_hat, _ = virtual_step(clf, wnet, x, y, fams, 0.1, True)
-        expected = clf.get_flat() - 0.1 * g[0]
-        np.testing.assert_allclose(clf_hat.get_flat(), expected, atol=1e-12)
+        expected = clf.flat - 0.1 * g[0]
+        np.testing.assert_allclose(clf_hat.flat, expected, atol=1e-12)
 
     def test_empty_batch_rejected(self, rng):
         clf = tiny_classifier(rng)
@@ -104,11 +104,11 @@ class TestVirtualStepOracle:
 
     @staticmethod
     def check(clf, wnet, f, alpha=0.1):
-        before = clf.get_flat()
+        before = clf.flat.copy()
         clf_hat, cache = metaloop._virtual(clf, wnet, f, alpha)
-        step = numkit.flatten(metaloop._step_grads(f, cache.v))
-        assert np.array_equal(clf_hat.get_flat(), before - alpha * step)
-        assert np.array_equal(clf.get_flat(), before)
+        step = metaloop._step_grads(f, cache.v, "virtual step")
+        assert np.array_equal(clf_hat.flat, before - alpha * step)
+        assert np.array_equal(clf.flat, before)
 
     def test_nonfinite_step_rejected(self, rng):
         clf = tiny_classifier(rng)
@@ -230,7 +230,7 @@ class TestFactoredStepOracle:
 
             clf_hat, cache = virtual_step(clf, wnet, x, y, fams, alpha,
                                           normalize)
-            assert rel_err(clf.get_flat() - clf_hat.get_flat(),
+            assert rel_err(clf.flat - clf_hat.flat,
                            alpha * step) <= 1e-12
 
             grad, _ = hypergrad(cache, clf_hat, mx, mt)
@@ -244,12 +244,12 @@ class TestFactoredStepOracle:
             assert rel_err(grad, -alpha * want) <= 1e-12
 
             # real step at a moved Theta: weights recomputed there
-            wnet.set_flat(wnet.get_flat() + 0.3 * rng.normal(size=wnet.n_params))
+            wnet.flat += 0.3 * rng.normal(size=wnet.flat.size)
             step = g.T @ oracle_weights(wnet.weight(losses, fams), normalize)
-            clf2 = clf.copy()
+            clf2 = Classifier(clf.sizes, clf.flat.copy())
             classifier_update(clf2, SgdMomentum(alpha), wnet, x, y, fams,
                               alpha, normalize)
-            assert rel_err(clf.get_flat() - clf2.get_flat(),
+            assert rel_err(clf.flat - clf2.flat,
                            alpha * step) <= 1e-12
 
     def test_soft_label_path(self):
@@ -281,7 +281,7 @@ class TestFactoredStepOracle:
             clf_hat, cache = sl_virtual_step(clf, wnet, x, y, z, y[perm],
                                              z[perm], fams, fams[perm], lam,
                                              alpha)
-            assert rel_err(clf.get_flat() - clf_hat.get_flat(),
+            assert rel_err(clf.flat - clf_hat.flat,
                            alpha * step_at(wnet)) <= 1e-12
 
             grad, _ = hypergrad(cache, clf_hat, mx, mt)
@@ -293,25 +293,25 @@ class TestFactoredStepOracle:
                     + (1.0 - lam) * (((gB - gBz) @ gbar) @ dvB)) / n
             assert rel_err(grad, -alpha * want) <= 1e-12
 
-            wnet.set_flat(wnet.get_flat() + 0.3 * rng.normal(size=wnet.n_params))
-            clf2 = clf.copy()
+            wnet.flat += 0.3 * rng.normal(size=wnet.flat.size)
+            clf2 = Classifier(clf.sizes, clf.flat.copy())
             metaloop._real_step(clf2, SgdMomentum(alpha), wnet, cache.factors,
                                 alpha)
-            assert rel_err(clf.get_flat() - clf2.get_flat(),
+            assert rel_err(clf.flat - clf2.flat,
                            alpha * step_at(wnet)) <= 1e-12
 
 
 class TestMetaUpdate:
     def test_zero_grad_first_adam_step_no_move(self, rng):
         wnet = tiny_weightnet(rng)
-        before = wnet.get_flat().copy()
-        meta_update(wnet, Adam(1e-3), np.zeros(wnet.n_params))
+        before = wnet.get_flat()
+        meta_update(wnet, Adam(1e-3), np.zeros(wnet.flat.size))
         np.testing.assert_array_equal(wnet.get_flat(), before)
 
     def test_plain_sgd_mode(self, rng):
         wnet = tiny_weightnet(rng)
-        before = wnet.get_flat().copy()
-        grad = rng.normal(size=wnet.n_params)
+        before = wnet.get_flat()
+        grad = rng.normal(size=wnet.flat.size)
         meta_update(wnet, SgdMomentum(0.01), grad)
         np.testing.assert_allclose(wnet.get_flat(), before - 0.01 * grad,
                                    atol=1e-12)
@@ -319,7 +319,7 @@ class TestMetaUpdate:
     def test_adam_converges_on_quadratic(self, rng):
         # repeated steps on f(theta) = ||theta - target||^2 reach the minimizer
         wnet = tiny_weightnet(rng)
-        target = rng.normal(size=wnet.n_params)
+        target = rng.normal(size=wnet.flat.size)
         opt = Adam(0.05)
         for _ in range(2000):
             meta_update(wnet, opt, 2.0 * (wnet.get_flat() - target))
@@ -327,7 +327,7 @@ class TestMetaUpdate:
 
     def test_nonfinite_grad_rejected(self, rng):
         wnet = tiny_weightnet(rng)
-        grad = np.full(wnet.n_params, np.nan)
+        grad = np.full(wnet.flat.size, np.nan)
         with pytest.raises(FloatingPointError):
             meta_update(wnet, Adam(1e-3), grad)
 
@@ -339,23 +339,23 @@ class TestClassifierUpdate:
         x, y = random_batch(rng, 5, 3, 4)
         fams = rng.integers(0, 3, size=5)
         clf_hat, _ = virtual_step(clf, wnet, x, y, fams, 0.1, True)
-        clf2 = clf.copy()
+        clf2 = Classifier(clf.sizes, clf.flat.copy())
         classifier_update(clf2, SgdMomentum(0.1), wnet, x, y, fams, 0.1, True)
-        np.testing.assert_allclose(clf2.get_flat(), clf_hat.get_flat(),
+        np.testing.assert_allclose(clf2.flat, clf_hat.flat,
                                    atol=1e-12)
 
     def test_zero_weightnet_heads_freeze_classifier(self, rng):
         clf = tiny_classifier(rng)
         wnet = tiny_weightnet(rng)
         # saturate every head to ~0 via a hugely negative output bias
-        wnet.b2 = np.full(wnet.K, -500.0)
-        wnet.W1 = np.zeros_like(wnet.W1)
-        wnet.b1 = np.zeros_like(wnet.b1)
-        before = clf.get_flat().copy()
+        wnet.b2[...] = -500.0
+        wnet.W1[...] = 0.0
+        wnet.b1[...] = 0.0
+        before = clf.flat.copy()
         x, y = random_batch(rng, 5, 3, 4)
         classifier_update(clf, SgdMomentum(0.1), wnet, x, y,
                           rng.integers(0, 3, size=5), 0.1, False)
-        np.testing.assert_allclose(clf.get_flat(), before, atol=1e-12)
+        np.testing.assert_allclose(clf.flat, before, atol=1e-12)
 
     def test_batch_loss_decreases_for_small_step(self, rng):
         clf = tiny_classifier(rng)
@@ -440,16 +440,16 @@ class TestSoftLabelPieces:
         a = tiny_classifier(rng)
         b = tiny_classifier(rng)
         ema_update(a, b, 0.0)
-        np.testing.assert_array_equal(a.get_flat(), b.get_flat())
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_ema_geometric_decay(self, rng):
         a = tiny_classifier(rng)
         b = tiny_classifier(rng)
         beta = 0.99
-        gap = np.linalg.norm(a.get_flat() - b.get_flat())
+        gap = np.linalg.norm(a.flat - b.flat)
         for _ in range(3):
             ema_update(a, b, beta)
-            gap_next = np.linalg.norm(a.get_flat() - b.get_flat())
+            gap_next = np.linalg.norm(a.flat - b.flat)
             assert abs(gap_next - beta * gap) < 1e-9
             gap = gap_next
 
@@ -492,10 +492,8 @@ class TestSoftLabelStep:
 
     def saturate(self, wnet, b2):
         """Pin every head of wnet at sigmoid(b2), whatever the loss."""
-        wnet.W1 = np.zeros_like(wnet.W1)
-        wnet.b1 = np.zeros_like(wnet.b1)
-        wnet.W2 = np.zeros_like(wnet.W2)
-        wnet.b2 = np.full(wnet.K, b2)
+        wnet.flat[...] = 0.0
+        wnet.b2[...] = b2
         return wnet
 
     def test_weight_one_lam_one_reduces_to_hard_label_step(self, rng):
@@ -504,8 +502,8 @@ class TestSoftLabelStep:
                                      y[perm], z[perm], fams, fams[perm], 1.0,
                                      0.05)
         _, g = clf.per_sample_grads(x, y)
-        expected = clf.get_flat() - 0.05 * g.mean(axis=0)
-        np.testing.assert_allclose(clf_hat.get_flat(), expected, atol=1e-12)
+        expected = clf.flat - 0.05 * g.mean(axis=0)
+        np.testing.assert_allclose(clf_hat.flat, expected, atol=1e-12)
 
     def test_weight_zero_lam_one_pure_pseudo_step(self, rng):
         clf, wnet, x, y, z, perm, fams = self.setup_batch(rng)
@@ -513,8 +511,8 @@ class TestSoftLabelStep:
                                      y[perm], z[perm], fams, fams[perm], 1.0,
                                      0.05)
         _, gz = clf.per_sample_grads(x, z)
-        expected = clf.get_flat() - 0.05 * gz.mean(axis=0)
-        np.testing.assert_allclose(clf_hat.get_flat(), expected, atol=1e-12)
+        expected = clf.flat - 0.05 * gz.mean(axis=0)
+        np.testing.assert_allclose(clf_hat.flat, expected, atol=1e-12)
 
     def test_hypergrad_matches_finite_difference(self):
         rng = np.random.default_rng(555)
@@ -554,10 +552,10 @@ class TestSoftLabelStep:
         clf, wnet, x, y, z, perm, fams = self.setup_batch(rng)
         clf_hat, cache = sl_virtual_step(clf, wnet, x, y, z, y[perm], z[perm],
                                          fams, fams[perm], 0.6, 0.05)
-        clf2 = clf.copy()
+        clf2 = Classifier(clf.sizes, clf.flat.copy())
         metaloop._real_step(clf2, SgdMomentum(0.05), wnet, cache.factors,
                             0.05)
-        np.testing.assert_allclose(clf2.get_flat(), clf_hat.get_flat(),
+        np.testing.assert_allclose(clf2.flat, clf_hat.flat,
                                    atol=1e-12)
 
 
@@ -608,7 +606,7 @@ class TestMetaTrain:
         ds = build_train_dataset(cfg)
         a = meta_train(ds, cfg, seed=11)
         b = meta_train(ds, cfg, seed=11)
-        np.testing.assert_array_equal(a.clf.get_flat(), b.clf.get_flat())
+        np.testing.assert_array_equal(a.clf.flat, b.clf.flat)
         np.testing.assert_array_equal(a.wnet.get_flat(), b.wnet.get_flat())
         assert len(a.history) == len(b.history)
         for ra, rb in zip(a.history, b.history):
@@ -621,7 +619,7 @@ class TestMetaTrain:
         ds = build_train_dataset(cfg)
         a = meta_train(ds, cfg, seed=11)
         b = meta_train(ds, cfg, seed=12)
-        assert not np.array_equal(a.clf.get_flat(), b.clf.get_flat())
+        assert not np.array_equal(a.clf.flat, b.clf.flat)
 
     def test_erm_has_no_weightnet(self):
         cfg = desk_cfg("erm", epochs=1)
@@ -720,7 +718,7 @@ class TestMetaTrain:
         ds = build_train_dataset(cfg)
         a = meta_train(ds, cfg, seed=2)
         b = meta_train(ds, cfg, seed=2)
-        np.testing.assert_array_equal(a.clf.get_flat(), b.clf.get_flat())
+        np.testing.assert_array_equal(a.clf.flat, b.clf.flat)
         np.testing.assert_allclose(a.z.sum(axis=1), np.ones(ds.n), atol=1e-9)
 
     def test_final_report_weight_split(self):
@@ -774,7 +772,7 @@ class TestMetaTest:
         ds = build_train_dataset(cfg)
         te = build_test_dataset(cfg)
         trained = meta_train(ds, cfg, test_ds=te, seed=0)
-        theta_before = trained.wnet.get_flat().copy()
+        theta_before = trained.wnet.get_flat()
         state = meta_test(trained.wnet, ds, cfg, test_ds=te, seed=1)
         np.testing.assert_array_equal(trained.wnet.get_flat(), theta_before)
         assert state.theta_opt is None
@@ -795,14 +793,12 @@ class TestMetaTest:
         te = build_test_dataset(cfg)
         rng = np.random.default_rng(0)
         wnet = WeightNet.init(1, rng, hidden=8)
-        wnet.W1 = np.zeros_like(wnet.W1)
-        wnet.b1 = np.zeros_like(wnet.b1)
-        wnet.W2 = np.zeros_like(wnet.W2)
-        wnet.b2 = np.full(wnet.K, 500.0)   # head pinned at 1
+        wnet.flat[...] = 0.0
+        wnet.b2[...] = 500.0   # head pinned at 1
         cfg_sat = desk_cfg(epochs=3, warmup_epochs=0)
         pinned = meta_test(wnet, ds, cfg_sat, test_ds=te, seed=7)
         erm = meta_test(None, ds, cfg_sat, test_ds=te, seed=7)
-        np.testing.assert_allclose(pinned.clf.get_flat(), erm.clf.get_flat(),
+        np.testing.assert_allclose(pinned.clf.flat, erm.clf.flat,
                                    atol=1e-9)
 
     def test_head_count_mismatch_rejected(self):
@@ -852,7 +848,7 @@ class TestErmUpdate:
         clf = tiny_classifier(rng)
         x, y = random_batch(rng, 6, 3, 4)
         _, grads = clf.mean_grad(x, y)
-        expected = clf.get_flat() - 0.2 * numkit.flatten(grads)
-        clf2 = clf.copy()
+        expected = clf.flat - 0.2 * grads
+        clf2 = Classifier(clf.sizes, clf.flat.copy())
         erm_update(clf2, SgdMomentum(0.2), x, y, 0.2)
-        np.testing.assert_allclose(clf2.get_flat(), expected, atol=1e-12)
+        np.testing.assert_allclose(clf2.flat, expected, atol=1e-12)

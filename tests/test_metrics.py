@@ -35,7 +35,7 @@ class TestEvaluate:
     def test_constant_predictor_chance(self, rng):
         ds = make_gaussian_classes(4, 2, 25, 5.0, 1.0, 0)
         clf = Classifier.init([2, 4], rng)
-        clf.set_flat(np.zeros(clf.n_params))
+        clf.flat[...] = 0.0
         clf.biases[-1][2] = 10.0  # always predicts class 2
         rep = evaluate(clf, ds)
         assert rep.accuracy == 0.25
@@ -72,7 +72,7 @@ class TestEvaluate:
 class TestWeightCurve:
     def test_zero_theta_all_half(self, rng):
         wn = tiny_weightnet(rng, K=3)
-        wn.set_flat(np.zeros(wn.n_params))
+        wn.flat[...] = 0.0
         grid = np.linspace(0, 10, 11)
         table = weight_curve(wn, grid)
         np.testing.assert_allclose(table, np.full((3, 11), 0.5), atol=1e-12)
@@ -105,7 +105,7 @@ class TestLossHistogram:
     def test_uniform_model_single_bin(self, rng):
         ds = make_gaussian_classes(3, 2, 20, 5.0, 1.0, 0)
         clf = Classifier.init([2, 3], rng)
-        clf.set_flat(np.zeros(clf.n_params))
+        clf.flat[...] = 0.0
         edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf),
                                              bins=10)
         assert clean.sum() + noisy.sum() == ds.n

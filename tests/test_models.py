@@ -16,7 +16,7 @@ from conftest import random_batch, tiny_classifier, tiny_weightnet
 class TestClassifierForward:
     def test_zero_weights_uniform_probs(self, rng):
         clf = tiny_classifier(rng, d=3, hidden=(5,), C=4)
-        clf.set_flat(np.zeros(clf.n_params))
+        clf.flat[...] = 0.0
         x = rng.normal(size=(6, 3))
         probs = clf.forward(x)
         np.testing.assert_allclose(probs, np.full((6, 4), 0.25), atol=1e-12)
@@ -37,10 +37,7 @@ class TestClassifierForward:
         opt = numkit.SgdMomentum(lr=0.5)
         for _ in range(200):
             _, grads = clf.mean_grad(x, y)
-            params = clf.params
-            opt.step(params, grads)
-            clf.weights = params[:1]
-            clf.biases = params[1:]
+            opt.step(clf.flat, grads)
         pred = np.argmax(clf.forward(x), axis=1)
         assert np.array_equal(pred, y)
 
@@ -90,14 +87,12 @@ class TestClassifierGradients:
         x, y = random_batch(rng, 6, 3, 4)
 
         def f(theta):
-            c = clf.copy()
-            c.set_flat(theta)
+            c = Classifier(clf.sizes, theta)
             return float(c.losses(x, y).mean())
 
         _, grads = clf.mean_grad(x, y)
-        flat = numkit.flatten(grads)
-        fd = numkit.finite_diff_grad(f, clf.get_flat())
-        rel = np.abs(flat - fd) / np.maximum(np.abs(fd), 1e-8)
+        fd = numkit.finite_diff_grad(f, clf.flat)
+        rel = np.abs(grads - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
     def test_per_sample_grads_match_finite_difference(self, rng):
@@ -106,11 +101,10 @@ class TestClassifierGradients:
         losses, g = clf.per_sample_grads(x, y)
         for j in range(4):
             def f(theta, j=j):
-                c = clf.copy()
-                c.set_flat(theta)
+                c = Classifier(clf.sizes, theta)
                 return float(c.losses(x[j:j + 1], y[j:j + 1])[0])
 
-            fd = numkit.finite_diff_grad(f, clf.get_flat())
+            fd = numkit.finite_diff_grad(f, clf.flat)
             rel = np.abs(g[j] - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() < 1e-5
 
@@ -119,7 +113,7 @@ class TestClassifierGradients:
         x, y = random_batch(rng, 8, 3, 4)
         _, g = clf.per_sample_grads(x, y)
         _, grads = clf.mean_grad(x, y)
-        np.testing.assert_allclose(g.mean(axis=0), numkit.flatten(grads),
+        np.testing.assert_allclose(g.mean(axis=0), grads,
                                    atol=1e-12)
 
     def test_soft_target_grads(self, rng):
@@ -129,11 +123,10 @@ class TestClassifierGradients:
         _, g = clf.per_sample_grads(x, targets)
 
         def f(theta):
-            c = clf.copy()
-            c.set_flat(theta)
+            c = Classifier(clf.sizes, theta)
             return float(c.losses(x, targets).mean())
 
-        fd = numkit.finite_diff_grad(f, clf.get_flat())
+        fd = numkit.finite_diff_grad(f, clf.flat)
         rel = np.abs(g.mean(axis=0) - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-5
 
@@ -173,7 +166,7 @@ class TestFamilyGating:
 class TestWeightNet:
     def test_zero_params_output_half(self, rng):
         wn = tiny_weightnet(rng, K=3)
-        wn.set_flat(np.zeros(wn.n_params))
+        wn.flat[...] = 0.0
         out = wn.forward(np.array([0.0, 1.0, 7.5]))
         np.testing.assert_allclose(out, np.full((3, 3), 0.5), atol=1e-12)
 
@@ -233,6 +226,100 @@ class TestWeightNet:
         np.testing.assert_array_equal(heads[1:], heads[[0, 0]])
 
 
+class TestOneParameterVector:
+    """Each model's parameters are one vector; its per-layer arrays are
+    views into it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_classifier_init_draw_order(self, seed):
+        # W_0, b_0, W_1, b_1, ... from one generator, as per-array draws
+        sizes = [5, 9, 7, 4]
+        clf = Classifier.init(sizes, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        for W, b, d_in, d_out in zip(clf.weights, clf.biases, sizes[:-1],
+                                     sizes[1:]):
+            bound = 1.0 / np.sqrt(d_in)
+            assert np.array_equal(W, rng.uniform(-bound, bound,
+                                                 size=(d_in, d_out)))
+            assert np.array_equal(b, rng.uniform(-bound, bound, size=d_out))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weightnet_init_draw_order(self, seed):
+        K, H = 3, 7
+        wn = WeightNet.init(K, np.random.default_rng(seed), hidden=H)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(wn.W1, rng.uniform(-1.0, 1.0, size=(1, H)))
+        assert np.array_equal(wn.b1, rng.uniform(-1.0, 1.0, size=H))
+        bound = 1.0 / np.sqrt(H)
+        assert np.array_equal(wn.W2, rng.uniform(-bound, bound, size=(H, K)))
+        assert np.array_equal(wn.b2, np.zeros(K))
+
+    def test_layout_is_weights_then_biases(self, rng):
+        clf = tiny_classifier(rng, d=4, hidden=(6, 5), C=3)
+        assert np.array_equal(clf.flat, numkit.flatten(clf.weights
+                                                       + clf.biases))
+        wn = tiny_weightnet(rng)
+        assert np.array_equal(wn.flat, numkit.flatten(
+            [wn.W1, wn.b1, wn.W2, wn.b2]))
+
+    def test_optimizer_step_shows_in_views(self, rng):
+        clf = tiny_classifier(rng)
+        before = [a.copy() for a in clf.weights + clf.biases]
+        g = rng.normal(size=clf.flat.size)
+        numkit.SgdMomentum(0.1).step(clf.flat, g)
+        after = numkit.flatten(clf.weights + clf.biases)
+        assert np.array_equal(after, numkit.flatten(before) - 0.1 * g)
+        wn = tiny_weightnet(rng)
+        numkit.Adam(0.1).step(wn.flat, np.ones(wn.flat.size))
+        assert np.all(wn.b2 < 0.0)
+
+    def test_copies_share_no_memory(self, rng, tmp_path):
+        clf, wn = tiny_classifier(rng), tiny_weightnet(rng)
+        save_checkpoint(tmp_path / "m.ckpt", clf, wn)
+        ck = load_checkpoint(tmp_path / "m.ckpt")
+        wn_copy = wn.copy()
+        for new, old in ((ck.classifier, clf), (ck.weightnet, wn),
+                         (wn_copy, wn)):
+            assert not np.shares_memory(new.flat, old.flat)
+        # the loaded models' arrays are views of their own vectors
+        ck.classifier.flat[...] = 0.0
+        ck.weightnet.flat[...] = 0.0
+        assert not any(a.any() for a in ck.classifier.weights
+                       + ck.classifier.biases)
+        assert not any(a.any() for a in (ck.weightnet.W1, ck.weightnet.b1,
+                                         ck.weightnet.W2, ck.weightnet.b2))
+        wn_copy.flat[...] = 0.0
+        assert wn.flat.any()
+
+    def test_set_flat_copies_and_checks_length(self, rng):
+        wn = tiny_weightnet(rng)
+        theta = rng.normal(size=wn.flat.size)
+        want = theta.copy()
+        wn.set_flat(theta)
+        theta[0] += 1.0
+        assert np.array_equal(wn.flat, want)
+        with pytest.raises(ValueError):
+            wn.set_flat(theta[:-1])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_broadcast_input_layer_equals_matmul(self, seed):
+        # each entry of the (n x 1) @ (1 x H) product is one product, so
+        # the broadcast form is the same bits
+        rng = np.random.default_rng(seed)
+        n, H, K = (int(v) for v in rng.integers(1, 300, size=3))
+        K = K % 5 + 1
+        wn = WeightNet.init(K, rng, hidden=H)
+        wn.b2[...] = rng.normal(size=K)
+        losses = rng.exponential(3.0, size=n)
+        fam = rng.integers(0, K, size=n)
+        ell = np.minimum(losses, LOSS_CLAMP)
+        z1 = ell[:, None] @ wn.W1 + wn.b1
+        assert np.array_equal(wn._gated(losses, fam)[2], z1)
+        assert np.array_equal(
+            wn.forward(losses),
+            numkit.sigmoid(numkit.relu(z1) @ wn.W2 + wn.b2))
+
+
 class TestWeightJacobianOracle:
     """weight_and_grad's dv, filled through a 3-D view of the W2 block,
     equals the 2-D fancy-index construction it replaced, bit for bit."""
@@ -253,7 +340,7 @@ class TestWeightJacobianOracle:
         dz2 = v * (1.0 - v)
         dz1 = dz2[:, None] * wn.W2[:, fam].T * (z1 > 0).astype(np.float64)
         rows = np.arange(n)
-        want = np.zeros((n, wn.n_params))
+        want = np.zeros((n, wn.flat.size))
         want[:, :H] = dz1 * ell[:, None]
         want[:, H:2 * H] = dz1
         want[rows[:, None], 2 * H + np.arange(H) * K + fam[:, None]] = \
@@ -298,7 +385,7 @@ class TestWeightInRowBlocks:
 class TestCmwWeight:
     def test_zero_theta_weight_half(self, rng):
         wn = tiny_weightnet(rng, K=3)
-        wn.set_flat(np.zeros(wn.n_params))
+        wn.flat[...] = 0.0
         w, _ = cmw_weight(2.0, 60, wn, np.array([5.0, 50.0, 500.0]))
         assert w == 0.5
 
@@ -373,8 +460,8 @@ class TestCheckpoint:
             assert not (tmp_path / "model.ckpt.json").exists()
             ck = load_checkpoint(path)
             assert ck.classifier.sizes == [4, 6, 5, 3]
-            np.testing.assert_array_equal(ck.classifier.get_flat(),
-                                          clf.get_flat())
+            np.testing.assert_array_equal(ck.classifier.flat,
+                                          clf.flat)
             if net is None:
                 assert ck.weightnet is None
             else:
@@ -390,4 +477,4 @@ class TestCheckpoint:
         ck = load_checkpoint(path)
         assert ck.weightnet is None
         assert ck.centers is None
-        np.testing.assert_array_equal(ck.classifier.get_flat(), clf.get_flat())
+        np.testing.assert_array_equal(ck.classifier.flat, clf.flat)

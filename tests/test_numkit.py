@@ -9,15 +9,14 @@ from cmwnet.models import Classifier
 
 def affine(x, W, b):
     """x @ W + b, as the logits of a one-layer Classifier."""
-    acts, _ = Classifier(list(W.shape), [W], [b]).forward_cached(x)
-    return acts[-1]
+    clf = Classifier(list(W.shape), numkit.flatten([W, b]))
+    return clf.forward_cached(x)[0][-1]
 
 
 def relu_grad(z):
     """The ReLU derivative as Classifier.backward applies it: the delta of
     a one-hidden-unit net with unit weights and pre-activation z."""
-    clf = Classifier([1, 1, 1], [np.ones((1, 1)), np.ones((1, 1))],
-                     [np.zeros(1), np.zeros(1)])
+    clf = Classifier([1, 1, 1], np.array([1.0, 1.0, 0.0, 0.0]))
     deltas = clf.backward([np.array([[z]]), None], np.ones((1, 1)))
     return float(deltas[0][0, 0])
 
@@ -169,47 +168,68 @@ class TestFusedSoftmaxOracle:
 class TestOptimizers:
     def test_plain_sgd(self):
         opt = numkit.SgdMomentum(lr=0.1)
-        p = [np.array([1.0])]
-        opt.step(p, [np.array([2.0])])
-        np.testing.assert_allclose(p[0], [0.8])
+        p = np.array([1.0])
+        opt.step(p, np.array([2.0]))
+        np.testing.assert_allclose(p, [0.8])
 
     def test_zero_grad_no_change(self):
         for opt in (numkit.SgdMomentum(0.1), numkit.Adam(0.1)):
-            p = [np.array([1.5, -2.0])]
-            opt.step(p, [np.zeros(2)])
-            np.testing.assert_allclose(p[0], [1.5, -2.0])
+            p = np.array([1.5, -2.0])
+            opt.step(p, np.zeros(2))
+            np.testing.assert_allclose(p, [1.5, -2.0])
 
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step moves each coordinate by ~lr
         opt = numkit.Adam(lr=0.01)
-        p = [np.array([5.0])]
-        opt.step(p, [np.array([3.7])])
-        assert abs((5.0 - p[0][0]) - 0.01) < 1e-5
+        p = np.array([5.0])
+        opt.step(p, np.array([3.7]))
+        assert abs((5.0 - p[0]) - 0.01) < 1e-5
         assert opt.step_count == 1
 
     def test_momentum_accumulates(self):
         opt = numkit.SgdMomentum(lr=1.0, momentum=0.5)
-        p = [np.array([0.0])]
-        opt.step(p, [np.array([1.0])])   # buffer 1, p=-1
-        opt.step(p, [np.array([1.0])])   # buffer 1.5, p=-2.5
-        np.testing.assert_allclose(p[0], [-2.5])
+        p = np.array([0.0])
+        opt.step(p, np.array([1.0]))   # buffer 1, p=-1
+        opt.step(p, np.array([1.0]))   # buffer 1.5, p=-2.5
+        np.testing.assert_allclose(p, [-2.5])
 
     def test_weight_decay_adds_to_grad(self):
         opt = numkit.SgdMomentum(lr=0.1, weight_decay=0.5)
-        p = [np.array([2.0])]
-        opt.step(p, [np.array([0.0])])
-        np.testing.assert_allclose(p[0], [2.0 - 0.1 * 0.5 * 2.0])
+        p = np.array([2.0])
+        opt.step(p, np.array([0.0]))
+        np.testing.assert_allclose(p, [2.0 - 0.1 * 0.5 * 2.0])
 
     def test_deterministic(self, rng):
-        g = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+        g = rng.normal(size=9)
         results = []
         for _ in range(2):
             opt = numkit.Adam(lr=0.05)
-            p = [np.ones((3, 2)), np.ones(3)]
+            p = np.ones(9)
             for _ in range(5):
-                opt.step(p, [a.copy() for a in g])
-            results.append(np.concatenate([a.ravel() for a in p]))
+                opt.step(p, g.copy())
+            results.append(p)
         np.testing.assert_array_equal(results[0], results[1])
+
+    @pytest.mark.parametrize("make", [
+        lambda: numkit.SgdMomentum(0.1, momentum=0.9, weight_decay=0.01),
+        lambda: numkit.Adam(0.05, weight_decay=0.01)])
+    def test_one_vector_step_matches_per_array_steps(self, rng, make):
+        # every update is elementwise, so stepping the concatenation is
+        # bit-identical to stepping each array on its own
+        arrays = [rng.normal(size=(3, 2)), rng.normal(size=3)]
+        grads = [[rng.normal(size=a.shape) for a in arrays] for _ in range(4)]
+        flat, opt = numkit.flatten(arrays), make()
+        parts = [(a.copy(), make()) for a in arrays]
+        for gs in grads:
+            opt.step(flat, numkit.flatten(gs))
+            for (p, o), g in zip(parts, gs):
+                o.step(p, g)
+        assert np.array_equal(flat, numkit.flatten([p for p, _ in parts]))
+
+    def test_shape_mismatch_raises(self):
+        for opt in (numkit.SgdMomentum(0.1), numkit.Adam(0.1)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                opt.step(np.zeros(3), np.zeros(2))
 
 
 class TestFiniteDiff:
@@ -242,6 +262,17 @@ class TestFlatten:
     def test_round_trip(self, rng):
         arrays = [rng.normal(size=(2, 3)), rng.normal(size=4)]
         flat = numkit.flatten(arrays)
-        back = numkit.unflatten_like(flat, arrays)
+        back = numkit.views(flat, [a.shape for a in arrays])
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
+
+    def test_views_alias_the_vector(self):
+        flat = np.zeros(10)
+        W, b = numkit.views(flat, [(2, 3), (4,)])
+        W[1, 2] = 1.0
+        flat[6:] = 2.0
+        assert flat[5] == 1.0 and np.array_equal(b, np.full(4, 2.0))
+
+    def test_views_must_cover_the_vector(self):
+        with pytest.raises(ValueError, match="parameter count 6"):
+            numkit.views(np.zeros(7), [(2, 3)])
