@@ -72,7 +72,7 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int,
             take = members[np.argsort(losses[members], kind="stable")[:per_class]]
         picked.append(take)
     idx = np.concatenate(picked)
-    x = ds.features[idx].copy()
+    x = ds.features[idx]
     targets = _onehot(ds.observed_labels[idx], ds.C)
     if mixup:
         perm = rng.permutation(idx.size)
@@ -483,6 +483,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                     clf_hat, cache = _virtual(clf, wnet, f, alpha)
                     hg, meta_loss = hypergrad(cache, clf_hat, meta_pool.x[midx],
                                               meta_pool.targets[midx])
+                    del clf_hat, cache  # free dv before the next is built
                     state.theta_opt.lr = (
                         _schedule_lr(tc.schedule, tc.theta_lr, epoch, state.t,
                                      tc.epochs)
@@ -493,6 +494,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                 # the pre-step batch mean CE, as erm_update returns it
                 train_loss = f.losses[:idx.size].mean()
                 fam_w = _family_means(v[:idx.size], fams, K)
+                del f  # likewise the factors
             state.logger.log(iteration=state.t, epoch=epoch,
                              train_loss=float(train_loss), meta_loss=meta_loss,
                              test_acc=test_acc, hypergrad_norm=hg_norm, **fam_w)

@@ -24,8 +24,8 @@ def evaluate(clf: Classifier, ds: Dataset) -> MetricsReport:
         raise ValueError("empty test set")
     pred = np.argmax(clf.forward(ds.features), axis=1)
     C = ds.C
-    confusion = np.zeros((C, C), dtype=np.int64)
-    np.add.at(confusion, (ds.clean_labels, pred), 1)
+    confusion = np.bincount(ds.clean_labels * C + pred,
+                            minlength=C * C).reshape(C, C)
     correct = confusion.trace()
     class_counts = confusion.sum(axis=1)
     per_class = np.divide(np.diag(confusion), class_counts,

@@ -19,9 +19,17 @@ from .numkit import (array_shape, flatten, read_arrays, relu, sigmoid,
 DEFAULT_HIDDEN = 100
 # losses above this reach the weighting net as this value
 LOSS_CLAMP = 50.0
-# WeightNet.weight runs this many rows at a time, so a pass over a whole
-# dataset holds (WEIGHT_ROWS x H) temporaries rather than (n x H) ones
-WEIGHT_ROWS = 256
+# whole-dataset passes run this many rows at a time, so their temporaries
+# are (ROWS x width) rather than (n x width)
+ROWS = 256
+
+
+def _row_blocks(fn, *arrays) -> np.ndarray:
+    """fn over aligned ROWS-row slices of the arrays, concatenated. There is
+    at least one slice, and at most ROWS rows are one: fn(*arrays) itself."""
+    parts = [fn(*(a[i:i + ROWS] for a in arrays))
+             for i in range(0, max(arrays[0].shape[0], 1), ROWS)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _fan_in_uniform(rng: np.random.Generator, out: np.ndarray,
@@ -93,12 +101,14 @@ class Classifier:
         return h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities, rows summing to 1."""
-        return softmax(self.logits(x))
+        """Class probabilities, rows summing to 1, ROWS rows at a time."""
+        return _row_blocks(lambda xb: softmax(self.logits(xb)), x)
 
     def losses(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """Per-sample CE losses; targets may be int labels or soft rows."""
-        return xent(self.logits(x), targets)[0]
+        """Per-sample CE losses, ROWS rows at a time; targets are labels or
+        soft rows."""
+        return _row_blocks(lambda xb, tb: xent(self.logits(xb), tb)[0],
+                           x, targets)
 
     def backward(self, pre, dlogits) -> list[np.ndarray]:
         """Batched backward from per-row logit gradients: deltas[l][j] is
@@ -226,15 +236,12 @@ class WeightNet:
         return v, dv
 
     def weight(self, losses: np.ndarray, fam: np.ndarray) -> np.ndarray:
-        """The v of weight_and_grad, without forming dv, WEIGHT_ROWS rows at
-        a time. Each row's weight depends only on that row, so the result
-        is bit-identical to one pass over all rows."""
-        losses = np.atleast_1d(np.asarray(losses, dtype=np.float64))
-        fam = np.atleast_1d(np.asarray(fam))
-        # at least one slice, so that no rows give an empty array
-        v = [self._gated(losses[i:i + WEIGHT_ROWS], fam[i:i + WEIGHT_ROWS])[-1]
-             for i in range(0, max(losses.shape[0], 1), WEIGHT_ROWS)]
-        return v[0] if len(v) == 1 else np.concatenate(v)
+        """The v of weight_and_grad, without forming dv, ROWS rows at a
+        time. Each row's weight depends only on that row, so the result is
+        bit-identical to one pass over all rows."""
+        return _row_blocks(lambda lb, fb: self._gated(lb, fb)[-1],
+                           np.atleast_1d(np.asarray(losses, dtype=np.float64)),
+                           np.atleast_1d(np.asarray(fam)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import yaml
 
 from cmwnet import cli, metaloop, metrics
 from cmwnet.biasgen import Dataset, load_dataset, save_dataset
-from cmwnet.models import Classifier, load_checkpoint
+from cmwnet.models import ROWS, Classifier, load_checkpoint
 from cmwnet.numkit import read_arrays, write_arrays
 
 
@@ -581,6 +581,20 @@ class TestCurves:
         # the checkpoint reproduces the run's own figures
         for name in ("weight_curve.csv", "histogram.csv"):
             assert (cdir / name).read_bytes() == (out / name).read_bytes()
+
+    def test_training_set_over_one_row_block(self, tmp_path):
+        """curves reproduces histogram.csv when the final losses span more
+        than one ROWS-row block."""
+        cfg = write_cfg(tmp_path, dataset={"n_per_class": 70})
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_dataset(out / "train.cmwd").n > ROWS
+        cdir = tmp_path / "curves"
+        assert cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--out", str(cdir),
+                         "--dataset", str(out / "train.cmwd")]) == 0
+        assert ((cdir / "histogram.csv").read_bytes()
+                == (out / "histogram.csv").read_bytes())
 
     def test_erm_checkpoint_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})

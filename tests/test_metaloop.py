@@ -1,6 +1,7 @@
 """Bi-level training engine: virtual step, analytic meta-gradient, variants."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -684,6 +685,40 @@ class TestMetaTrain:
         calls.clear()
         meta_test(state.wnet, ds, desk_cfg(epochs=3), seed=1)
         assert calls == [ds.n]
+
+    @pytest.mark.parametrize("variant", ["cmwnet", "cmwnet-sl", "mwnet"])
+    def test_one_iteration_of_step_state_alive(self, variant, monkeypatch):
+        """Each iteration's StepFactors and VirtualStepCache (with its
+        r x PTheta dv) are freed once its steps have used them, so the loop
+        never builds a new one while an earlier one is still alive. (Weak
+        references in lists: eq dataclasses are unhashable, so no WeakSet.)"""
+        made = {"factors": [], "cache": []}
+        calls = []
+
+        def track(name, kind, result_of):
+            fn = getattr(metaloop, name)
+
+            def wrapped(*args):
+                assert all(ref() is None for ref in made[kind]), \
+                    f"{name}: an earlier {kind} is still alive"
+                out = fn(*args)
+                made[kind].append(weakref.ref(result_of(out)))
+                calls.append(name)
+                return out
+            monkeypatch.setattr(metaloop, name, wrapped)
+
+        track("_factors", "factors", lambda f: f)
+        track("_sl_factors", "factors", lambda f: f)
+        track("_virtual", "cache", lambda out: out[1])
+        cfg = desk_cfg(variant, epochs=3)
+        ds = build_train_dataset(cfg)
+        state = meta_train(ds, cfg, seed=0)
+        factors = "_sl_factors" if variant == "cmwnet-sl" else "_factors"
+        assert calls.count(factors) == calls.count("_virtual") == 8
+
+        calls.clear()
+        meta_test(state.wnet, ds, desk_cfg(epochs=3), seed=1)
+        assert calls == ["_factors"] * 8
 
     def test_train_loss_is_pre_step_batch_mean(self):
         """With no warmup the first row is weighted; its train_loss is the

@@ -52,6 +52,20 @@ class TestEvaluate:
             sel = ds.clean_labels == c
             assert rep.per_class_accuracy[c] == np.mean(pred[sel] == c)
 
+    @pytest.mark.parametrize("C", [2, 3, 5])
+    def test_confusion_equals_add_at_oracle(self, rng, C):
+        # at C = 5 the 350 rows span two forward blocks; weak separation
+        # gives off-diagonal counts, and small random nets leave some
+        # classes unpredicted
+        ds = make_gaussian_classes(C, 3, 70, 0.5, 1.0, C)
+        clf = Classifier.init([3, 6, C], rng)
+        rep = evaluate(clf, ds)
+        pred = np.argmax(clf.forward(ds.features), axis=1)
+        want = np.zeros((C, C), dtype=np.int64)
+        np.add.at(want, (ds.clean_labels, pred), 1)
+        assert rep.confusion.dtype == np.int64
+        assert np.array_equal(rep.confusion, want)
+
     def test_confusion_rows_sum_to_class_counts(self, rng):
         ds = make_gaussian_classes(4, 3, 20, 2.0, 1.0, 0)
         clf = Classifier.init([3, 8, 4], rng)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmwnet import numkit
-from cmwnet.models import (LOSS_CLAMP, WEIGHT_ROWS, Classifier, WeightNet,
+from cmwnet.models import (LOSS_CLAMP, ROWS, Classifier, WeightNet,
                            load_checkpoint, save_checkpoint)
 from cmwnet.numkit import read_arrays, write_arrays
 from cmwnet.taskfam import assign_family
@@ -350,11 +350,10 @@ class TestWeightJacobianOracle:
 
 
 class TestWeightInRowBlocks:
-    """weight runs WEIGHT_ROWS rows at a time and still equals one pass
-    over all rows, bit for bit."""
+    """weight runs ROWS rows at a time and still equals one pass over all
+    rows, bit for bit."""
 
-    @pytest.mark.parametrize("n", [0, 1, WEIGHT_ROWS - 1, WEIGHT_ROWS,
-                                   3 * WEIGHT_ROWS + 7])
+    @pytest.mark.parametrize("n", [0, 1, ROWS - 1, ROWS, 3 * ROWS + 7])
     def test_equals_one_pass(self, n):
         rng = np.random.default_rng(n)
         K, H = int(rng.integers(1, 5)), int(rng.integers(1, 120))
@@ -376,6 +375,69 @@ class TestWeightInRowBlocks:
         tracemalloc.start()
         try:
             wn.weight(losses, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+class TestClassifierInRowBlocks:
+    """losses and forward run ROWS rows at a time: a call of at most ROWS
+    rows is exactly one pass, and a longer one is the per-block passes
+    joined, which round like ROWS-row products rather than one n-row one."""
+
+    @staticmethod
+    def one_pass(clf, x, targets):
+        logits = clf.logits(x)
+        return numkit.xent(logits, targets)[0], numkit.softmax(logits)
+
+    def case(self, n, soft):
+        rng = np.random.default_rng(n + soft)
+        clf = Classifier.init([7, 64, 5], rng)
+        x = rng.normal(size=(n, 7))
+        targets = (rng.dirichlet(np.ones(5), size=n) if soft
+                   else rng.integers(0, 5, size=n))
+        return clf, x, targets
+
+    @pytest.mark.parametrize("soft", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, ROWS - 1, ROWS])
+    def test_one_block_is_one_pass(self, n, soft):
+        clf, x, targets = self.case(n, soft)
+        losses, probs = clf.losses(x, targets), clf.forward(x)
+        want_losses, want_probs = self.one_pass(clf, x, targets)
+        assert losses.shape == (n,) and probs.shape == (n, 5)
+        assert np.array_equal(losses, want_losses)
+        assert np.array_equal(probs, want_probs)
+
+    @pytest.mark.parametrize("soft", [False, True])
+    def test_longer_input_is_per_block_passes(self, soft):
+        n = 3 * ROWS + 7
+        clf, x, targets = self.case(n, soft)
+        losses, probs = clf.losses(x, targets), clf.forward(x)
+        blocks = [self.one_pass(clf, x[i:i + ROWS], targets[i:i + ROWS])
+                  for i in range(0, n, ROWS)]
+        assert np.array_equal(losses, np.concatenate([b[0] for b in blocks]))
+        assert np.array_equal(probs, np.concatenate([b[1] for b in blocks]))
+        want_losses, want_probs = self.one_pass(clf, x, targets)
+        np.testing.assert_allclose(losses, want_losses, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs, want_probs, rtol=1e-12, atol=0)
+
+    def test_bad_label_in_a_later_block_raises(self):
+        clf, x, y = self.case(ROWS + 3, False)
+        y[-1] = 5
+        with pytest.raises(IndexError):
+            clf.losses(x, y)
+
+    def test_losses_memory_does_not_grow_with_n_times_width(self):
+        # one pass over these rows holds two 51 MB (n x 128) arrays
+        rng = np.random.default_rng(0)
+        n = 50_000
+        clf = Classifier.init([10, 128, 128, 10], rng)
+        x = rng.normal(size=(n, 10))
+        y = rng.integers(0, 10, size=n)
+        tracemalloc.start()
+        try:
+            clf.losses(x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
