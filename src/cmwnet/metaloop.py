@@ -42,7 +42,7 @@ ALPHA_TE, BETA_WA, SL_MIXUP = 0.9, 0.99, 1.0
 # meta-set construction
 
 
-@dataclass
+@dataclass(eq=False)
 class MetaBatch:
     x: np.ndarray          # (m, d)
     targets: np.ndarray    # (m, C) soft rows
@@ -86,7 +86,7 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int,
 # weighted step and hypergradient, shared by every variant
 
 
-@dataclass
+@dataclass(eq=False)
 class StepFactors:
     """The Theta-free parts of a weighted classifier step at fixed w.
 
@@ -104,7 +104,7 @@ class StepFactors:
     fixed: np.ndarray | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class VirtualStepCache:
     factors: StepFactors
     v: np.ndarray            # (r,) raw head weights
@@ -140,16 +140,6 @@ def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float):
     grad = _step_grads(f, v, "virtual step")
     clf_hat = Classifier(clf.sizes, clf.flat - alpha * grad)
     return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet, wnet.get_flat())
-
-
-def _real_step(clf: Classifier, optimizer, wnet: WeightNet, f: StepFactors,
-               alpha: float) -> np.ndarray:
-    """Optimizer step with the weights at the current Theta; returns them."""
-    v = wnet.weight(f.losses, f.fams)
-    grad = _step_grads(f, v, "classifier update")
-    optimizer.lr = alpha
-    optimizer.step(clf.flat, grad)
-    return v
 
 
 def virtual_step(clf: Classifier, wnet: WeightNet, x: np.ndarray,
@@ -199,15 +189,17 @@ def meta_update(wnet: WeightNet, optimizer, grad_flat: np.ndarray) -> None:
 
 
 def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
-                      x: np.ndarray, targets: np.ndarray, fams: np.ndarray,
-                      alpha: float, normalize: bool) -> np.ndarray:
-    """Real classifier step with weights recomputed at the current Theta.
+                      f: StepFactors, alpha: float) -> np.ndarray:
+    """Real classifier step on f with the weights at the current Theta.
 
     Returns the raw per-sample weights (for logging). With momentum 0 the
     result coincides with the virtual step at the same Theta.
     """
-    return _real_step(clf, optimizer, wnet,
-                      _factors(clf, x, targets, fams, normalize), alpha)
+    v = wnet.weight(f.losses, f.fams)
+    grad = _step_grads(f, v, "classifier update")
+    optimizer.lr = alpha
+    optimizer.step(clf.flat, grad)
+    return v
 
 
 def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
@@ -436,16 +428,15 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
 
     Without a weighting net every step is plain ERM; with one, the epochs
     after warmup take weighted steps. Theta learns from the meta set only
-    if state.theta_opt is set, and stays frozen otherwise. State carrying
-    ensembled targets (state.z) takes the soft-label step.
+    if state.theta_opt is set, and stays frozen otherwise; a learning run
+    carrying ensembled targets (state.z) takes the soft-label step.
     """
     cfg.validate()
     clf, wnet, tc = state.clf, state.wnet, cfg.train
     K = state.fam.K if state.fam is not None else 1
     fams_all = None
     if state.fam is not None:
-        fams_all = np.array([state.fam.class_to_family[c]
-                             for c in range(ds.C)])[ds.observed_labels]
+        fams_all = state.fam.class_to_family[ds.observed_labels]
     state.logger = MetricLogger(K=K)
     n = ds.n
     batch = min(tc.batch_size, n)
@@ -472,15 +463,19 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                 fam_w = {f"family_weight_{k}": float("nan") for k in range(K)}
             else:
                 fams = fams_all[idx]
-                if state.z is None:
+                if state.theta_opt is None:
                     f = _factors(clf, x, y, fams, True)
+                elif state.z is None:
+                    clf_hat, cache = virtual_step(clf, wnet, x, y, fams, alpha,
+                                                  True)
                 else:
-                    f = _sl_batch(state, idx, x, y, fams, rng_sl)
+                    sl = _sl_batch(state, idx, x, y, fams, rng_sl)
+                    clf_hat, cache = sl_virtual_step(clf, wnet, *sl, alpha)
                 if state.theta_opt is not None:
+                    f = cache.factors
                     # the whole meta set, in a fresh order
                     midx = rng_meta.choice(meta_pool.m, size=meta_pool.m,
                                            replace=False)
-                    clf_hat, cache = _virtual(clf, wnet, f, alpha)
                     hg, meta_loss = hypergrad(cache, clf_hat, meta_pool.x[midx],
                                               meta_pool.targets[midx])
                     del clf_hat, cache  # free dv before the next is built
@@ -490,7 +485,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                         if tc.schedule["kind"] == "decay" else tc.theta_lr)
                     meta_update(wnet, state.theta_opt, hg)
                     hg_norm = float(np.linalg.norm(hg))
-                v = _real_step(clf, state.clf_opt, wnet, f, alpha)
+                v = classifier_update(clf, state.clf_opt, wnet, f, alpha)
                 # the pre-step batch mean CE, as erm_update returns it
                 train_loss = f.losses[:idx.size].mean()
                 fam_w = _family_means(v[:idx.size], fams, K)
@@ -517,10 +512,10 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
 
 
 def _sl_batch(state: TrainState, idx, x, y, fams, rng):
-    """Soft-label bookkeeping of one batch, then its step factors.
+    """Soft-label bookkeeping of one batch, then its mixup inputs.
 
     Refreshes the EMA classifier and the batch's ensembled targets, draws
-    the mixup pairing and returns the factors on the mixed inputs.
+    the mixup pairing and returns sl_virtual_step's batch arguments.
     """
     ema_update(state.w_wa, state.clf, BETA_WA)
     p = state.w_wa.forward(x)
@@ -530,5 +525,4 @@ def _sl_batch(state: TrainState, idx, x, y, fams, rng):
     perm = rng.permutation(idx.size)
     x_mix = lam * x + (1.0 - lam) * x[perm]
     z = state.z[idx]
-    return _sl_factors(state.clf, x_mix, y, z, y[perm], z[perm], fams,
-                       fams[perm], lam)
+    return x_mix, y, z, y[perm], z[perm], fams, fams[perm], lam

@@ -8,7 +8,7 @@ computed; training never re-clusters.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,19 +16,20 @@ import numpy as np
 @dataclass
 class FamilyIndex:
     centers: np.ndarray                 # ascending
-    class_to_family: dict[int, int] = field(default_factory=dict)
+    class_to_family: np.ndarray         # (C,) int, family of each class
 
     @property
     def K(self) -> int:
         return len(self.centers)
 
 
-def assign_family(count: float, centers: np.ndarray) -> int:
-    """Nearest center index; exact midpoint ties go to the smaller center."""
+def assign_family(counts, centers: np.ndarray) -> np.ndarray:
+    """Nearest center index of each count (one index for a scalar count);
+    exact midpoint ties go to the smaller center."""
     centers = np.asarray(centers, dtype=np.float64)
     if centers.size == 0:
         raise ValueError("empty center list")
-    return int(np.argmin(np.abs(centers - count)))
+    return np.argmin(np.abs(np.asarray(counts)[..., None] - centers), axis=-1)
 
 
 def kmeans_1d(counts, K: int, restarts: int = 10,
@@ -66,8 +67,8 @@ def kmeans_1d(counts, K: int, restarts: int = 10,
             for j in range(k, n + 1)]
     bounds = best[n][1] + [n]
     centers = np.array([xs[a:b].mean() for a, b in zip(bounds, bounds[1:])])
-    mapping = {c: assign_family(counts[c], centers) for c in range(len(counts))}
-    return FamilyIndex(centers=centers, class_to_family=mapping)
+    return FamilyIndex(centers=centers,
+                       class_to_family=assign_family(counts, centers))
 
 
 def brute_force_wcss(counts, K: int) -> float:

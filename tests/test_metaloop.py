@@ -10,10 +10,10 @@ from cmwnet import metaloop, numkit
 from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
 from cmwnet.config import (ConfigError, ExperimentConfig, build_test_dataset,
                            build_train_dataset, config_from_dict)
-from cmwnet.metaloop import (build_meta_set, classifier_update, ema_update,
-                             erm_update, hypergrad, meta_test, meta_train,
-                             meta_update, sl_virtual_step, temporal_ensemble,
-                             virtual_step)
+from cmwnet.metaloop import (MetaBatch, build_meta_set, classifier_update,
+                             ema_update, erm_update, hypergrad, meta_test,
+                             meta_train, meta_update, sl_virtual_step,
+                             temporal_ensemble, virtual_step)
 from cmwnet.metrics import evaluate
 from cmwnet.models import Classifier, WeightNet
 from cmwnet.numkit import Adam, SgdMomentum
@@ -248,8 +248,9 @@ class TestFactoredStepOracle:
             wnet.flat += 0.3 * rng.normal(size=wnet.flat.size)
             step = g.T @ oracle_weights(wnet.weight(losses, fams), normalize)
             clf2 = Classifier(clf.sizes, clf.flat.copy())
-            classifier_update(clf2, SgdMomentum(alpha), wnet, x, y, fams,
-                              alpha, normalize)
+            classifier_update(clf2, SgdMomentum(alpha), wnet,
+                              metaloop._factors(clf2, x, y, fams, normalize),
+                              alpha)
             assert rel_err(clf.flat - clf2.flat,
                            alpha * step) <= 1e-12
 
@@ -296,8 +297,8 @@ class TestFactoredStepOracle:
 
             wnet.flat += 0.3 * rng.normal(size=wnet.flat.size)
             clf2 = Classifier(clf.sizes, clf.flat.copy())
-            metaloop._real_step(clf2, SgdMomentum(alpha), wnet, cache.factors,
-                                alpha)
+            classifier_update(clf2, SgdMomentum(alpha), wnet, cache.factors,
+                              alpha)
             assert rel_err(clf.flat - clf2.flat,
                            alpha * step_at(wnet)) <= 1e-12
 
@@ -341,7 +342,8 @@ class TestClassifierUpdate:
         fams = rng.integers(0, 3, size=5)
         clf_hat, _ = virtual_step(clf, wnet, x, y, fams, 0.1, True)
         clf2 = Classifier(clf.sizes, clf.flat.copy())
-        classifier_update(clf2, SgdMomentum(0.1), wnet, x, y, fams, 0.1, True)
+        classifier_update(clf2, SgdMomentum(0.1), wnet,
+                          metaloop._factors(clf2, x, y, fams, True), 0.1)
         np.testing.assert_allclose(clf2.flat, clf_hat.flat,
                                    atol=1e-12)
 
@@ -354,8 +356,8 @@ class TestClassifierUpdate:
         wnet.b1[...] = 0.0
         before = clf.flat.copy()
         x, y = random_batch(rng, 5, 3, 4)
-        classifier_update(clf, SgdMomentum(0.1), wnet, x, y,
-                          rng.integers(0, 3, size=5), 0.1, False)
+        f = metaloop._factors(clf, x, y, rng.integers(0, 3, size=5), False)
+        classifier_update(clf, SgdMomentum(0.1), wnet, f, 0.1)
         np.testing.assert_allclose(clf.flat, before, atol=1e-12)
 
     def test_batch_loss_decreases_for_small_step(self, rng):
@@ -364,9 +366,36 @@ class TestClassifierUpdate:
         x, y = random_batch(rng, 8, 3, 4)
         fams = rng.integers(0, 3, size=8)
         before = float(clf.losses(x, y).mean())
-        classifier_update(clf, SgdMomentum(0.01), wnet, x, y, fams, 0.01, True)
+        classifier_update(clf, SgdMomentum(0.01), wnet,
+                          metaloop._factors(clf, x, y, fams, True), 0.01)
         after = float(clf.losses(x, y).mean())
         assert after < before
+
+
+class TestStepStateIdentity:
+    """StepFactors, VirtualStepCache and MetaBatch compare by identity, so
+    == answers instead of comparing array fields, and a WeakSet holds them."""
+
+    @staticmethod
+    def instances(seed):
+        rng = np.random.default_rng(seed)
+        clf, wnet = tiny_classifier(rng), tiny_weightnet(rng)
+        x, y = random_batch(rng, 5, 3, 4)
+        _, cache = virtual_step(clf, wnet, x, y, np.zeros(5, dtype=np.int64),
+                                0.1, True)
+        return [cache.factors, cache, MetaBatch(x, onehot(y, 4))]
+
+    def test_eq_is_identity(self):
+        for a, b in zip(self.instances(0), self.instances(0)):
+            assert a == a
+            assert a != b   # equal fields, distinct objects
+
+    def test_weakset_holds_each(self):
+        objs = self.instances(1)
+        held = weakref.WeakSet(objs)
+        assert len(held) == 3 and all(o in held for o in objs)
+        objs.clear()
+        assert len(held) == 0
 
 
 class TestMetaSet:
@@ -554,8 +583,7 @@ class TestSoftLabelStep:
         clf_hat, cache = sl_virtual_step(clf, wnet, x, y, z, y[perm], z[perm],
                                          fams, fams[perm], 0.6, 0.05)
         clf2 = Classifier(clf.sizes, clf.flat.copy())
-        metaloop._real_step(clf2, SgdMomentum(0.05), wnet, cache.factors,
-                            0.05)
+        classifier_update(clf2, SgdMomentum(0.05), wnet, cache.factors, 0.05)
         np.testing.assert_allclose(clf2.flat, clf_hat.flat,
                                    atol=1e-12)
 
@@ -690,19 +718,18 @@ class TestMetaTrain:
     def test_one_iteration_of_step_state_alive(self, variant, monkeypatch):
         """Each iteration's StepFactors and VirtualStepCache (with its
         r x PTheta dv) are freed once its steps have used them, so the loop
-        never builds a new one while an earlier one is still alive. (Weak
-        references in lists: eq dataclasses are unhashable, so no WeakSet.)"""
-        made = {"factors": [], "cache": []}
+        never builds a new one while an earlier one is still alive."""
+        made = {"factors": weakref.WeakSet(), "cache": weakref.WeakSet()}
         calls = []
 
         def track(name, kind, result_of):
             fn = getattr(metaloop, name)
 
             def wrapped(*args):
-                assert all(ref() is None for ref in made[kind]), \
+                assert not made[kind], \
                     f"{name}: an earlier {kind} is still alive"
                 out = fn(*args)
-                made[kind].append(weakref.ref(result_of(out)))
+                made[kind].add(result_of(out))
                 calls.append(name)
                 return out
             monkeypatch.setattr(metaloop, name, wrapped)
@@ -719,6 +746,35 @@ class TestMetaTrain:
         calls.clear()
         meta_test(state.wnet, ds, desk_cfg(epochs=3), seed=1)
         assert calls == ["_factors"] * 8
+
+    @pytest.mark.parametrize("variant", ["cmwnet", "cmwnet-sl", "mwnet"])
+    def test_training_runs_the_public_step_functions(self, variant,
+                                                     monkeypatch):
+        """Each weighted iteration takes one virtual step of its variant's
+        kind, one hypergradient and one classifier_update; transfer under
+        the frozen net takes only the classifier_update."""
+        calls = []
+
+        def count(name):
+            fn = getattr(metaloop, name)
+
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(metaloop, name, counted)
+
+        for name in ("virtual_step", "sl_virtual_step", "hypergrad",
+                     "classifier_update"):
+            count(name)
+        cfg = desk_cfg(variant, epochs=3)
+        ds = build_train_dataset(cfg)
+        state = meta_train(ds, cfg, seed=0)
+        virtual = "sl_virtual_step" if variant == "cmwnet-sl" else "virtual_step"
+        assert calls == [virtual, "hypergrad", "classifier_update"] * 8
+
+        calls.clear()
+        meta_test(state.wnet, ds, desk_cfg(epochs=3), seed=1)
+        assert calls == ["classifier_update"] * 8
 
     def test_train_loss_is_pre_step_batch_mean(self):
         """With no warmup the first row is weighted; its train_loss is the

@@ -62,7 +62,7 @@ class TestKmeans:
         a = kmeans_1d(counts, 3, rng=np.random.default_rng(5))
         b = kmeans_1d(counts, 3, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(a.centers, b.centers)
-        assert a.class_to_family == b.class_to_family
+        np.testing.assert_array_equal(a.class_to_family, b.class_to_family)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(777)
@@ -96,7 +96,8 @@ class TestKmeans:
             fam = kmeans_1d(counts, 3, restarts=1,
                             rng=np.random.default_rng(seed))
             np.testing.assert_array_equal(fam.centers, ref.centers)
-            assert fam.class_to_family == ref.class_to_family
+            np.testing.assert_array_equal(fam.class_to_family,
+                                          ref.class_to_family)
 
 
 class TestAssignFamily:
