@@ -27,7 +27,7 @@ from .config import ConfigError
 from .models import Classifier, WeightNet, layer_views
 from .numkit import (Adam, SgdMomentum, flatten, softmax, softmax_xent,
                      spawn_rngs)
-from .taskfam import FamilyIndex, kmeans_1d
+from .taskfam import FamilyIndex, kmeans_1d, n_distinct
 
 MOMENTUM = 0.9               # the classifier's SGD momentum
 # piecewise schedule: the rate is multiplied by LR_GAMMA once each of these
@@ -170,9 +170,12 @@ def hypergrad(cache: VirtualStepCache, clf_hat: Classifier,
         raise RuntimeError("stale cache: Theta changed since the virtual step")
     meta_loss, gbar = clf_hat.mean_grad(meta_x, meta_targets)
     f = cache.factors
-    c = sum(((a @ gw) * d).sum(axis=1) + d @ gb
-            for a, d, gw, gb in zip(f.acts, f.deltas,
-                                    *layer_views(clf_hat.sizes, gbar)))
+    c = 0
+    for a, d, gw, gb in zip(f.acts, f.deltas,
+                            *layer_views(clf_hat.sizes, gbar)):
+        t = a @ gw
+        t *= d
+        c = c + (t.sum(axis=1) + d @ gb)
     grad = c @ cache.dv
     s = cache.v.sum()
     if f.normalize and s != 0.0:
@@ -408,7 +411,7 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
     rng_init_clf, rng_order = spawn_rngs(seed, 2)
     fam = None
     if wnet is not None:
-        sizes = np.unique(query_ds.class_counts()).size
+        sizes = n_distinct(query_ds.class_counts())
         if sizes < wnet.K:
             raise ConfigError(
                 f"weight net has {wnet.K} heads but the query's class sizes "

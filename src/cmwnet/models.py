@@ -119,14 +119,16 @@ class Classifier:
             deltas[li] = delta
             if li > 0:
                 # ReLU derivative, taken as 0 at exactly 0
-                delta = (delta @ self.weights[li].T) * (pre[li - 1] > 0)
+                delta = delta @ self.weights[li].T
+                delta *= pre[li - 1] > 0
         return deltas
 
     def mean_grad(self, x: np.ndarray, targets: np.ndarray):
         """(mean loss, its gradient laid out like self.flat)."""
         acts, pre = self.forward_cached(x)
         loss, dlogits = xent(acts[-1], targets)
-        deltas = self.backward(pre, dlogits / x.shape[0])
+        dlogits /= x.shape[0]
+        deltas = self.backward(pre, dlogits)
         return loss.mean(), flatten([a.T @ d for a, d in zip(acts, deltas)]
                                     + [d.sum(axis=0) for d in deltas])
 
@@ -207,7 +209,8 @@ class WeightNet:
         z1, h, W2[:, fam], v) with v_j = head[fam_j](loss_j)."""
         ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
         fam = np.atleast_1d(np.asarray(fam))
-        z1 = ell[:, None] * self.W1 + self.b1           # (n, H)
+        z1 = ell[:, None] * self.W1                     # (n, H)
+        z1 += self.b1
         h = relu(z1)
         w2 = self.W2[:, fam]                            # (H, n)
         z2 = np.einsum("nh,hn->n", h, w2) + self.b2[fam]
@@ -224,14 +227,15 @@ class WeightNet:
         # backward for the selected head only: in the W2 (H x K) and b2
         # blocks of row j only column fam_j is nonzero
         dz2 = v * (1.0 - v)                             # (n,)
-        dz1 = dz2[:, None] * w2.T * (z1 > 0)            # (n, H)
         rows = np.arange(n)
         dv = np.zeros((n, self.flat.size))
-        dv[:, :H] = dz1 * ell[:, None]                  # W1 (1 x H)
-        dv[:, H:2 * H] = dz1                            # b1
+        dz1 = dv[:, H:2 * H]                            # b1, (n, H)
+        np.multiply(dz2[:, None], w2.T, out=dz1)
+        dz1 *= z1 > 0
+        np.multiply(dz1, ell[:, None], out=dv[:, :H])   # W1 (1 x H)
+        h *= dz2[:, None]
         # a view of the W2 block, so the indexed write lands in dv
-        dv[:, 2 * H:2 * H + H * K].reshape(n, H, K)[rows, :, fam] = \
-            dz2[:, None] * h
+        dv[:, 2 * H:2 * H + H * K].reshape(n, H, K)[rows, :, fam] = h
         dv[rows, 2 * H + H * K + fam] = dz2
         return v, dv
 

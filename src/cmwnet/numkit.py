@@ -30,12 +30,10 @@ def relu(x):
 
 
 def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """The logistic function, from exp(-|x|), which never overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +57,13 @@ def softmax_xent(logits: np.ndarray, labels: np.ndarray):
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= C:
         raise IndexError(f"label out of range [0, {C})")
     z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    loss = np.log(s[:, 0]) - z[np.arange(n), labels]
-    grad = e / s  # softmax(logits), from the same exponentials
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad
+    picked = z[np.arange(n), labels]
+    np.exp(z, out=z)
+    s = z.sum(axis=1, keepdims=True)
+    loss = np.log(s[:, 0]) - picked
+    z /= s  # softmax(logits), from the same exponentials
+    z[np.arange(n), labels] -= 1.0
+    return loss, z
 
 
 def soft_xent(logits: np.ndarray, targets: np.ndarray):

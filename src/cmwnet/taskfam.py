@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass
+@dataclass(eq=False)
 class FamilyIndex:
     centers: np.ndarray                 # ascending
     class_to_family: np.ndarray         # (C,) int, family of each class
@@ -32,6 +32,12 @@ def assign_family(counts, centers: np.ndarray) -> np.ndarray:
     return np.argmin(np.abs(np.asarray(counts)[..., None] - centers), axis=-1)
 
 
+def n_distinct(counts) -> int:
+    """np.unique(counts).size without np.unique, which imports numpy.ma."""
+    xs = np.sort(counts)
+    return int(xs.size > 0) + int(np.count_nonzero(np.diff(xs)))
+
+
 def kmeans_1d(counts, K: int, restarts: int = 10,
               rng: np.random.Generator | None = None) -> FamilyIndex:
     """Exact 1-D k-means of class sizes (Wang & Song 2011); centers ascending.
@@ -46,12 +52,12 @@ def kmeans_1d(counts, K: int, restarts: int = 10,
     counts = np.asarray(counts, dtype=np.float64)
     if counts.size == 0:
         raise ValueError("empty class-count vector")
-    distinct = np.unique(counts)
-    if distinct.size < K:
-        warnings.warn(
-            f"only {distinct.size} distinct class sizes; reducing K from {K}")
-        K = distinct.size
     xs = np.sort(counts)
+    distinct = n_distinct(xs)
+    if distinct < K:
+        warnings.warn(
+            f"only {distinct} distinct class sizes; reducing K from {K}")
+        K = distinct
     n = xs.size
 
     def sse(a, b):                      # WCSS of the segment xs[a:b]

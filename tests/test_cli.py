@@ -490,6 +490,34 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
 
 
+class TestImports:
+    def test_no_command_loads_numpy_ma(self, tmp_path):
+        """np.unique imports numpy.ma on first use; no command needs it. A
+        fresh interpreter, since this one may already hold numpy.ma."""
+        cfg, run = str(write_cfg(tmp_path)), tmp_path / "run"
+        ckpt = str(run / "checkpoint.ckpt")
+        commands = [
+            ["generate", "--config", cfg, "--out", str(tmp_path / "gen")],
+            ["train", "--config", cfg, "--out", str(run)],
+            ["meta-test", "--config", cfg, "--out", str(tmp_path / "mt"),
+             "--checkpoint", ckpt],
+            ["curves", "--checkpoint", ckpt, "--out", str(tmp_path / "cv"),
+             "--dataset", str(run / "train.cmwd")],
+            ["compare", str(run), str(run), "--out", str(tmp_path / "cmp")]]
+        src_dir = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src_dir}
+        code = ("import json, sys\n"
+                "from cmwnet import cli\n"
+                "for args in json.loads(sys.argv[1]):\n"
+                "    assert cli.main(args) == 0, args\n"
+                "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code,
+                               json.dumps(commands)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 class TestGenerate:
     def test_writes_datasets(self, tmp_path):
         cfg = write_cfg(tmp_path)

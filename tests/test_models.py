@@ -349,6 +349,24 @@ class TestWeightJacobianOracle:
         assert np.array_equal(dv, want)
 
 
+    def test_transient_memory_bound(self):
+        # beyond dv itself, the step holds ell, z1, h and W2[:, fam]; dz1
+        # and the W1 block are filled inside dv, not in (n x H) temporaries
+        n, H, K = 200, 100, 3
+        rng = np.random.default_rng(0)
+        wn = WeightNet.init(K, rng, hidden=H)
+        losses = rng.exponential(2.0, size=n)
+        fam = rng.integers(0, K, size=n)
+        wn.weight_and_grad(losses, fam)
+        tracemalloc.start()
+        try:
+            _, dv = wn.weight_and_grad(losses, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - dv.nbytes <= 5 * n * H * 8
+
+
 class TestWeightInRowBlocks:
     """weight runs ROWS rows at a time and still equals one pass over all
     rows, bit for bit."""

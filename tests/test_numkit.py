@@ -67,6 +67,22 @@ class TestActivations:
         assert np.all(np.isfinite(vals))
         assert vals[0] >= 0.0 and vals[1] <= 1.0
 
+    def test_sigmoid_equals_masked_two_branch_form(self):
+        # the form with one exp per sign branch, filled through masks
+        rng = np.random.default_rng(3)
+        x = np.concatenate([rng.normal(0.0, 10.0, 50_000),
+                            rng.normal(0.0, 1000.0, 50_000),
+                            [0.0, -0.0, np.inf, -np.inf, np.nan, 745.0,
+                             -745.0]])
+        want = np.empty_like(x)
+        pos = x >= 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            want[~pos] = ex / (1.0 + ex)
+            got = numkit.sigmoid(x)
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_derivatives_match_finite_difference(self, rng):
         for _ in range(5):
             x = float(rng.normal()) + 0.05  # keep away from the relu kink
@@ -95,6 +111,20 @@ class TestSoftmaxXent:
         probs = numkit.softmax(rng.normal(size=(6, 5)) * 10)
         np.testing.assert_allclose(probs.sum(axis=1), np.ones(6), atol=1e-12)
         assert np.all(probs >= 0)
+
+    def test_equals_separate_exp_and_leaves_logits(self, rng):
+        logits = rng.normal(size=(40, 7)) * 20
+        kept = logits.copy()
+        y = rng.integers(0, 7, size=40)
+        loss, grad = numkit.softmax_xent(logits, y)
+        z = kept - kept.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        s = e.sum(axis=1, keepdims=True)
+        want = e / s
+        want[np.arange(40), y] -= 1.0
+        assert np.array_equal(loss, np.log(s[:, 0]) - z[np.arange(40), y])
+        assert np.array_equal(grad, want)
+        assert np.array_equal(logits, kept)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):

@@ -7,7 +7,7 @@ import pytest
 
 from cmwnet.numkit import spawn_rngs
 from cmwnet.taskfam import (FamilyIndex, assign_family, brute_force_wcss,
-                            kmeans_1d)
+                            kmeans_1d, n_distinct)
 
 
 def wcss(counts, fam: FamilyIndex) -> float:
@@ -98,6 +98,40 @@ class TestKmeans:
             np.testing.assert_array_equal(fam.centers, ref.centers)
             np.testing.assert_array_equal(fam.class_to_family,
                                           ref.class_to_family)
+
+
+    def test_equality_is_identity(self):
+        a = kmeans_1d([5, 6, 50, 55, 500], 3)
+        b = kmeans_1d([5, 6, 50, 55, 500], 3)
+        assert a == a and not a == b and a != b
+
+
+class TestDistinctSizes:
+    """n_distinct counts what np.unique(...).size does, without np.unique."""
+
+    def test_equals_unique_oracle(self):
+        rng = np.random.default_rng(21)
+        cases = [[7], [7, 7, 7, 7], list(range(1, 12)), [3.0, 3.0, 1.0]]
+        for _ in range(200):
+            m = int(rng.integers(1, 30))
+            cases.append(rng.integers(1, int(rng.integers(2, 40)), size=m))
+        for counts in cases:
+            assert n_distinct(counts) == np.unique(counts).size
+        assert n_distinct(np.array([], dtype=np.int64)) == 0
+
+    def test_kmeans_reduces_k_exactly_when_unique_says(self):
+        rng = np.random.default_rng(22)
+        for _ in range(100):
+            counts = rng.integers(1, 6, size=int(rng.integers(1, 9)))
+            K = int(rng.integers(1, 6))
+            sizes = np.unique(counts).size
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fam = kmeans_1d(counts, K)
+            want = ([f"only {sizes} distinct class sizes; reducing K from {K}"]
+                    if sizes < K else [])
+            assert [str(w.message) for w in caught] == want
+            assert fam.K == min(K, sizes)
 
 
 class TestAssignFamily:
