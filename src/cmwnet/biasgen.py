@@ -38,10 +38,6 @@ class GaussianMixtureSpec:
     def C(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.means.shape[1]
-
 
 def posterior(x: np.ndarray, spec: GaussianMixtureSpec) -> np.ndarray:
     """Exact Bayes posterior rows for x (n, d) -> (n, C); rows sum to 1.
@@ -120,8 +116,8 @@ def _class_means(C: int, d: int, separation: float) -> np.ndarray:
 def make_gaussian_classes(C: int, d: int, n_per_class: int, separation: float,
                           sigma: float, seed: int) -> Dataset:
     """Balanced mixture draw with the posterior oracle attached."""
-    if C < 2 or d < 1 or n_per_class < 1:
-        raise ValueError("need C >= 2, d >= 1, n_per_class >= 1")
+    if C < 2 or d < min(C - 1, 2) or n_per_class < 1:
+        raise ValueError("need C >= 2, d >= min(C - 1, 2), n_per_class >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     spec = GaussianMixtureSpec(_class_means(C, d, separation), sigma,
                                np.full(C, 1.0 / C))

@@ -127,10 +127,19 @@ def _read_report(run_dir) -> dict:
             report = json.load(fh)
         except ValueError as e:
             raise CorruptArtifact(f"{path}: not valid JSON: {e}") from e
-    keys = ("accuracy", "per_class_accuracy", "test_fingerprint")
-    missing = [k for k in keys if not isinstance(report, dict) or k not in report]
-    if missing:
-        raise CorruptArtifact(f"{path}: missing key(s) {missing}")
+    get = report.get if isinstance(report, dict) else {}.get
+    fp, per_class = get("test_fingerprint"), get("per_class_accuracy")
+    C = fp.get("C") if isinstance(fp, dict) else None
+    # the keys compare reads, each with its type and length (bool is no number)
+    for key, ok, want in (
+            ("test_fingerprint", type(C) is int, "a mapping with an int C"),
+            ("accuracy", type(get("accuracy")) in (int, float), "a number"),
+            ("per_class_accuracy", isinstance(per_class, list)
+             and len(per_class) == C
+             and all(type(v) in (int, float) for v in per_class),
+             f"a list of test_fingerprint.C = {C} numbers")):
+        if not ok:
+            raise CorruptArtifact(f"{path}: key {key} must be {want}")
     return report
 
 

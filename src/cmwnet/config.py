@@ -35,8 +35,8 @@ class DatasetConfig:
     def validate(self):
         if self.C < 2:
             raise ConfigError("dataset.C must be >= 2")
-        if self.d < 1:
-            raise ConfigError("dataset.d must be >= 1")
+        if self.d < min(self.C - 1, 2):  # C >= 3 class means lie on a circle
+            raise ConfigError("dataset.d must be >= 1 (2 when dataset.C >= 3)")
         if self.n_per_class < 1:
             raise ConfigError("dataset.n_per_class must be >= 1")
         if self.sigma <= 0:

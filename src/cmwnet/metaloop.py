@@ -25,8 +25,8 @@ from . import metrics
 from .biasgen import Dataset
 from .config import ConfigError
 from .models import Classifier, WeightNet, layer_views
-from .numkit import (Adam, SgdMomentum, flatten, softmax, softmax_xent,
-                     spawn_rngs)
+from .numkit import (Adam, SgdMomentum, flatten, onehot, softmax,
+                     spawn_rngs, xent)
 from .taskfam import FamilyIndex, kmeans_1d, n_distinct
 
 MOMENTUM = 0.9               # the classifier's SGD momentum
@@ -73,7 +73,7 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int,
         picked.append(take)
     idx = np.concatenate(picked)
     x = ds.features[idx]
-    targets = _onehot(ds.observed_labels[idx], ds.C)
+    targets = onehot(ds.observed_labels[idx], ds.C)
     if mixup:
         perm = rng.permutation(idx.size)
         lam = rng.beta(1.0, 1.0, size=idx.size)[:, None]
@@ -254,17 +254,15 @@ def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
     and the remainder is the fixed part.
     """
     acts, pre = clf.forward_cached(x_mix)
-    logits = acts[-1]
-    n, C = logits.shape
-    loss_a, _ = softmax_xent(logits, y_a)
-    loss_b, _ = softmax_xent(logits, y_b)
-    p = softmax(logits)
+    n, C = acts[-1].shape
+    t_a, t_b = onehot(y_a, C), onehot(y_b, C)
+    (loss_a, _), (loss_b, _) = xent(acts[-1], t_a), xent(acts[-1], t_b)
+    p = softmax(acts[-1])
     fixed_deltas = clf.backward(
         pre, (lam * (p - z_a) + (1.0 - lam) * (p - z_b)) / n)
     fixed = flatten([a.T @ d for a, d in zip(acts, fixed_deltas)]
                     + [d.sum(axis=0) for d in fixed_deltas])
-    rows = np.concatenate([lam * (z_a - _onehot(y_a, C)),
-                           (1.0 - lam) * (z_b - _onehot(y_b, C))]) / n
+    rows = np.concatenate([lam * (z_a - t_a), (1.0 - lam) * (z_b - t_b)]) / n
     deltas = clf.backward([np.concatenate([z, z]) for z in pre], rows)
     return StepFactors([np.concatenate([a, a]) for a in acts[:-1]], deltas,
                        np.concatenate([loss_a, loss_b]),
@@ -320,12 +318,6 @@ def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
     if kind == "decay":
         return min(base_lr, base_lr / np.sqrt(max(t, 1)))
     raise ValueError(f"unknown schedule kind {kind!r}")
-
-
-def _onehot(labels: np.ndarray, C: int) -> np.ndarray:
-    out = np.zeros((labels.size, C))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
 
 
 class MetricLogger:
@@ -396,7 +388,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
                        theta_opt=theta_opt)
     if variant == "cmwnet-sl":
-        state.z = _onehot(ds.observed_labels, ds.C)
+        state.z = onehot(ds.observed_labels, ds.C)
         state.w_wa = Classifier(clf.sizes, np.zeros_like(clf.flat))
     return _train(state, ds, cfg, test_ds, rng_order, rng_meta, rng_sl)
 

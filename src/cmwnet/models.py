@@ -1,6 +1,7 @@
 """The two fixed architectures and their hand-derived gradients.
 
-Classifier: softmax MLP f(x; w) with ReLU hidden layers.
+Classifier: softmax MLP f(x; w) with ReLU hidden layers and one forward
+pass, forward_cached, which whole-dataset passes run ROWS rows at a time.
 Weighting net: shared 1 -> H ReLU hidden layer feeding K sigmoid heads;
 each sample receives the weight of its task family's head.
 """
@@ -87,28 +88,17 @@ class Classifier:
             acts.append(h)
         return acts, pre
 
-    def logits(self, x: np.ndarray) -> np.ndarray:
-        """The logits of forward_cached, keeping no layer (in-place bias and
-        ReLU on each layer's fresh matmul output)."""
-        self._check_dim(x)
-        h = x
-        last = len(self.weights) - 1
-        for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ W
-            h += b
-            if li != last:
-                np.maximum(h, 0.0, out=h)
-        return h
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1, ROWS rows at a time."""
-        return _row_blocks(lambda xb: softmax(self.logits(xb)), x)
+        return _row_blocks(
+            lambda xb: softmax(self.forward_cached(xb)[0][-1]), x)
 
     def losses(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample CE losses, ROWS rows at a time; targets are labels or
         soft rows."""
-        return _row_blocks(lambda xb, tb: xent(self.logits(xb), tb)[0],
-                           x, targets)
+        return _row_blocks(
+            lambda xb, tb: xent(self.forward_cached(xb)[0][-1], tb)[0],
+            x, targets)
 
     def backward(self, pre, dlogits) -> list[np.ndarray]:
         """Batched backward from per-row logit gradients: deltas[l][j] is

@@ -1,6 +1,7 @@
 """Dense float64 numeric primitives.
 
-Activations and losses with hand-derived gradients, first-order optimizers,
+Activations and one softmax cross-entropy (int labels become one-hot
+target rows) with hand-derived gradients, first-order optimizers,
 seeded RNG construction, the named-float64-array file that holds every
 binary artifact (and the error for a corrupt one), and the central
 finite-difference oracle used by the test suite. No autodiff anywhere:
@@ -47,43 +48,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Per-sample CE loss and gradient w.r.t. the logits.
-
-    loss_i = -log softmax(logits_i)[y_i], grad_i = softmax(logits_i) - onehot(y_i).
-    """
-    labels = np.asarray(labels)
-    n, C = logits.shape
+def onehot(labels: np.ndarray, C: int) -> np.ndarray:
+    """One-hot rows of int labels; IndexError for a label outside [0, C)."""
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= C:
         raise IndexError(f"label out of range [0, {C})")
-    z = logits - logits.max(axis=1, keepdims=True)
-    picked = z[np.arange(n), labels]
-    np.exp(z, out=z)
-    s = z.sum(axis=1, keepdims=True)
-    loss = np.log(s[:, 0]) - picked
-    z /= s  # softmax(logits), from the same exponentials
-    z[np.arange(n), labels] -= 1.0
-    return loss, z
-
-
-def soft_xent(logits: np.ndarray, targets: np.ndarray):
-    """CE against soft target rows (rows of `targets` sum to 1).
-
-    loss_i = -targets_i . log softmax(logits_i), grad_i = softmax_i - targets_i.
-    """
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    loss = -(targets * (z - np.log(s))).sum(axis=1)
-    grad = e / s - targets
-    return loss, grad
+    out = np.zeros((labels.size, C))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
 
 
 def xent(logits: np.ndarray, targets: np.ndarray):
-    """softmax_xent for int labels, soft_xent for soft target rows."""
+    """Per-sample CE loss and its logit gradient against target rows t (int
+    labels become one-hot rows). Per row, with z = logits - max(logits),
+    e = exp(z) and s = sum(e): loss = t . (log s - z), grad = e / s - t."""
     if targets.ndim == 1:
-        return softmax_xent(logits, targets)
-    return soft_xent(logits, targets)
+        targets = onehot(targets, logits.shape[1])
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    loss = (targets * (np.log(s) - z)).sum(axis=1)
+    return loss, e / s - targets
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,17 @@ class TestGaussianClasses:
         with pytest.raises(ValueError):
             make_gaussian_classes(1, 2, 10, 1.0, 1.0, 0)
 
+    @pytest.mark.parametrize("C", [3, 10])
+    def test_three_or_more_classes_need_two_dims(self, C):
+        # their means lie on a circle in the first two coordinates
+        with pytest.raises(ValueError):
+            make_gaussian_classes(C, 1, 10, 1.0, 1.0, 0)
+        assert make_gaussian_classes(C, 2, 10, 1.0, 1.0, 0).d == 2
+
+    def test_two_classes_fit_one_dim(self):
+        ds = make_gaussian_classes(2, 1, 10, 4.0, 1.0, 0)
+        assert abs(np.ptp(ds.mixture.means[:, 0]) - 4.0) < 1e-12
+
 
 class TestPosterior:
     def test_midpoint_symmetry(self):

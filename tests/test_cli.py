@@ -262,6 +262,17 @@ class TestExitCodes:
         self.assert_config_error(write_cfg(tmp_path, **overrides), tmp_path,
                                  capsys, field)
 
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_one_dim_needs_two_classes(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, dataset={"C": 3, "d": 1})
+        code = cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "dataset.d" in err[0]
+        assert files_under(tmp_path / "o") == []
+
     def test_int_accepted_for_float(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1,
                                          "lr": 1, "theta_lr": 0},
@@ -335,6 +346,29 @@ class TestExitCodes:
         capsys.readouterr()
         code = cli.main(["compare", str(out), str(out)])
         self.assert_io_failure(code, capsys, path, damage)
+
+    @pytest.mark.parametrize("key, value", [
+        ("accuracy", "high"), ("accuracy", True), ("accuracy", None),
+        ("per_class_accuracy", [0.5, 0.5, 0.5]),
+        ("per_class_accuracy", [0.5, "0.5", 0.5, 0.5]),
+        ("per_class_accuracy", 0.5), ("test_fingerprint", {"C": "4"})])
+    def test_wrong_report_value_is_io_failure(self, tmp_path, capsys, key,
+                                              value):
+        cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
+        good, bad = tmp_path / "good", tmp_path / "bad"
+        for out in (good, bad):
+            cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        path = bad / "report.json"
+        report = json.loads(path.read_text())
+        report[key] = value
+        path.write_text(json.dumps(report))
+        capsys.readouterr()
+        for runs in ([good, bad], [bad, good]):
+            code = cli.main(["compare", *map(str, runs),
+                             "--out", str(tmp_path / "cmp")])
+            err = self.assert_io_failure(code, capsys, path, key)
+            assert f"key {key} " in err
+        assert files_under(tmp_path / "cmp") == []
 
     @pytest.mark.parametrize("dataset, name", [({"d": 4}, "d=4"),
                                                ({"C": 5}, "C=5")])

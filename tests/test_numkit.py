@@ -97,12 +97,12 @@ class TestActivations:
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        loss, grad = numkit.softmax_xent(np.array([[0.0, 0.0]]), np.array([0]))
+        loss, grad = numkit.xent(np.array([[0.0, 0.0]]), np.array([0]))
         assert abs(loss[0] - np.log(2.0)) < 1e-12
         np.testing.assert_allclose(grad, [[-0.5, 0.5]])
 
     def test_saturated_logits_no_overflow(self):
-        loss, grad = numkit.softmax_xent(
+        loss, grad = numkit.xent(
             np.array([[1000.0, -1000.0]]), np.array([0]))
         assert np.all(np.isfinite(loss)) and np.all(np.isfinite(grad))
         assert loss[0] < 1e-12
@@ -116,7 +116,7 @@ class TestSoftmaxXent:
         logits = rng.normal(size=(40, 7)) * 20
         kept = logits.copy()
         y = rng.integers(0, 7, size=40)
-        loss, grad = numkit.softmax_xent(logits, y)
+        loss, grad = numkit.xent(logits, y)
         z = kept - kept.max(axis=1, keepdims=True)
         e = np.exp(z)
         s = e.sum(axis=1, keepdims=True)
@@ -128,17 +128,17 @@ class TestSoftmaxXent:
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            numkit.softmax_xent(np.zeros((1, 3)), np.array([3]))
+            numkit.xent(np.zeros((1, 3)), np.array([3]))
 
     def test_grad_matches_finite_difference(self, rng):
         logits = rng.normal(size=5)
         y = np.array([2])
 
         def f(t):
-            loss, _ = numkit.softmax_xent(t[None, :], y)
+            loss, _ = numkit.xent(t[None, :], y)
             return float(loss[0])
 
-        _, grad = numkit.softmax_xent(logits[None, :], y)
+        _, grad = numkit.xent(logits[None, :], y)
         fd = numkit.finite_diff_grad(f, logits)
         rel = np.abs(grad[0] - fd) / np.maximum(np.abs(fd), 1e-12)
         assert rel.max() < 1e-6
@@ -148,34 +148,58 @@ class TestSoftmaxXent:
         y = rng.integers(0, 3, size=4)
         onehot = np.zeros((4, 3))
         onehot[np.arange(4), y] = 1.0
-        l_hard, g_hard = numkit.softmax_xent(logits, y)
-        l_soft, g_soft = numkit.soft_xent(logits, onehot)
+        l_hard, g_hard = numkit.xent(logits, y)
+        l_soft, g_soft = numkit.xent(logits, onehot)
         np.testing.assert_allclose(l_hard, l_soft, atol=1e-12)
         np.testing.assert_allclose(g_hard, g_soft, atol=1e-12)
+
+    @pytest.mark.parametrize("logits", [
+        [[1000.0, -1000.0]], [[-1000.0, 1000.0]], [[0.0, 0.0]],
+        [[40.0, 0.0, -3.0]], "random"])
+    def test_labels_and_their_one_hot_rows_give_the_same_bits(self, logits):
+        # a saturated row has a zero loss, which must keep its sign (+0.0)
+        rng = np.random.default_rng(5)
+        logits = (20.0 * rng.normal(size=(300, 7)) if logits == "random"
+                  else np.array(logits))
+        n, C = logits.shape
+        y = np.zeros(n, dtype=np.int64) if n == 1 else rng.integers(0, C, n)
+        l_hard, g_hard = numkit.xent(logits, y)
+        l_soft, g_soft = numkit.xent(logits, np.eye(C)[y])
+        assert l_hard.tobytes() == l_soft.tobytes()
+        assert g_hard.tobytes() == g_soft.tobytes()
+        assert not np.signbit(l_hard).any()
+
+    def test_one_hot_rows_refuse_labels_out_of_range(self):
+        assert np.array_equal(numkit.onehot(np.array([2, 0]), 3),
+                              [[0, 0, 1], [1, 0, 0]])
+        for bad in (-1, 3):
+            with pytest.raises(IndexError):
+                numkit.onehot(np.array([0, bad]), 3)
 
     def test_soft_targets_grad_matches_finite_difference(self, rng):
         logits = rng.normal(size=4)
         targets = rng.dirichlet(np.ones(4))
 
         def f(t):
-            loss, _ = numkit.soft_xent(t[None, :], targets[None, :])
+            loss, _ = numkit.xent(t[None, :], targets[None, :])
             return float(loss[0])
 
-        _, grad = numkit.soft_xent(logits[None, :], targets[None, :])
+        _, grad = numkit.xent(logits[None, :], targets[None, :])
         fd = numkit.finite_diff_grad(f, logits)
         assert np.abs(grad[0] - fd).max() < 1e-6
 
 
 class TestFusedSoftmaxOracle:
-    """softmax_xent and soft_xent take the softmax from the exponentials of
-    their loss; both outputs equal the separate computations bit for bit."""
+    """xent takes the softmax from the exponentials of its loss; for labels
+    and for soft rows both outputs equal the separate computations bit for
+    bit."""
 
     @pytest.mark.parametrize("n,C", [(1, 2), (17, 10), (200, 7)])
     def test_hard_labels(self, n, C):
         rng = np.random.default_rng(3)
         logits = 20.0 * rng.normal(size=(n, C))
         y = rng.integers(0, C, size=n)
-        loss, grad = numkit.softmax_xent(logits, y)
+        loss, grad = numkit.xent(logits, y)
         onehot = np.zeros((n, C))
         onehot[np.arange(n), y] = 1.0
         assert np.array_equal(grad, numkit.softmax(logits) - onehot)
@@ -188,7 +212,7 @@ class TestFusedSoftmaxOracle:
         rng = np.random.default_rng(4)
         logits = 20.0 * rng.normal(size=(n, C))
         targets = rng.dirichlet(np.ones(C), size=n)
-        loss, grad = numkit.soft_xent(logits, targets)
+        loss, grad = numkit.xent(logits, targets)
         assert np.array_equal(grad, numkit.softmax(logits) - targets)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
