@@ -253,18 +253,18 @@ def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
     mixup partner) carry lam (z_a - y_a) / n and (1-lam) (z_b - y_b) / n,
     and the remainder is the fixed part.
     """
-    acts, pre = clf.forward_cached(x_mix)
+    acts = clf.forward_cached(x_mix)
     n, C = acts[-1].shape
     t_a, t_b = onehot(y_a, C), onehot(y_b, C)
     (loss_a, _), (loss_b, _) = xent(acts[-1], t_a), xent(acts[-1], t_b)
     p = softmax(acts[-1])
     fixed_deltas = clf.backward(
-        pre, (lam * (p - z_a) + (1.0 - lam) * (p - z_b)) / n)
+        acts, (lam * (p - z_a) + (1.0 - lam) * (p - z_b)) / n)
     fixed = flatten([a.T @ d for a, d in zip(acts, fixed_deltas)]
                     + [d.sum(axis=0) for d in fixed_deltas])
     rows = np.concatenate([lam * (z_a - t_a), (1.0 - lam) * (z_b - t_b)]) / n
-    deltas = clf.backward([np.concatenate([z, z]) for z in pre], rows)
-    return StepFactors([np.concatenate([a, a]) for a in acts[:-1]], deltas,
+    doubled = [np.concatenate([a, a]) for a in acts[:-1]]
+    return StepFactors(doubled, clf.backward(doubled, rows),
                        np.concatenate([loss_a, loss_b]),
                        np.concatenate([fams_a, fams_b]), False, fixed)
 

@@ -72,53 +72,50 @@ class Classifier:
         if x.shape[1] != self.sizes[0]:
             raise ValueError(f"feature dim {x.shape[1]} != {self.sizes[0]}")
 
-    def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping every layer: (acts, pre), where acts[l] is the
-        input of layer l (acts[-1] the logits) and pre[l] its pre-activation."""
+    def forward_cached(self, x: np.ndarray) -> list[np.ndarray]:
+        """Forward pass keeping every layer: acts[l] is the input of layer l
+        (acts[-1] the logits); hidden layers are rectified in place."""
         self._check_dim(x)
         acts = [x]
-        pre = []
-        h = x
-        last = len(self.weights) - 1
         for li, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ W
+            z = acts[-1] @ W
             z += b
-            pre.append(z)
-            h = z if li == last else relu(z)
-            acts.append(h)
-        return acts, pre
+            if li < len(self.weights) - 1:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, rows summing to 1, ROWS rows at a time."""
-        return _row_blocks(
-            lambda xb: softmax(self.forward_cached(xb)[0][-1]), x)
+        return _row_blocks(lambda xb: softmax(self.forward_cached(xb)[-1]), x)
 
     def losses(self, x: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample CE losses, ROWS rows at a time; targets are labels or
         soft rows."""
         return _row_blocks(
-            lambda xb, tb: xent(self.forward_cached(xb)[0][-1], tb)[0],
+            lambda xb, tb: xent(self.forward_cached(xb)[-1], tb)[0],
             x, targets)
 
-    def backward(self, pre, dlogits) -> list[np.ndarray]:
-        """Batched backward from per-row logit gradients: deltas[l][j] is
-        d(row j's loss)/d(pre[l][j]). Linear in dlogits for a fixed pre."""
+    def backward(self, acts, dlogits) -> list[np.ndarray]:
+        """Batched backward from per-row logit gradients, reading the hidden
+        activations acts[1:L]: deltas[l][j] is d(row j's loss)/d(its layer-l
+        pre-activation). Linear in dlogits for fixed acts."""
         deltas = [None] * len(self.weights)
         delta = dlogits
         for li in range(len(self.weights) - 1, -1, -1):
             deltas[li] = delta
             if li > 0:
-                # ReLU derivative, taken as 0 at exactly 0
+                # ReLU derivative, taken as 0 at 0: relu(z) > 0 iff z > 0
                 delta = delta @ self.weights[li].T
-                delta *= pre[li - 1] > 0
+                delta *= acts[li] > 0
         return deltas
 
     def mean_grad(self, x: np.ndarray, targets: np.ndarray):
         """(mean loss, its gradient laid out like self.flat)."""
-        acts, pre = self.forward_cached(x)
+        acts = self.forward_cached(x)
         loss, dlogits = xent(acts[-1], targets)
         dlogits /= x.shape[0]
-        deltas = self.backward(pre, dlogits)
+        deltas = self.backward(acts, dlogits)
         return loss.mean(), flatten([a.T @ d for a, d in zip(acts, deltas)]
                                     + [d.sum(axis=0) for d in deltas])
 
@@ -126,9 +123,9 @@ class Classifier:
         """(per-sample losses [n], layer inputs, layer deltas) of one forward
         and one backward pass. Sample j's gradient is
         outer(acts[l][j], deltas[l][j]) for W_l and deltas[l][j] for b_l."""
-        acts, pre = self.forward_cached(x)
+        acts = self.forward_cached(x)
         loss, dlogits = xent(acts[-1], targets)
-        return loss, acts[:-1], self.backward(pre, dlogits)
+        return loss, acts[:-1], self.backward(acts, dlogits)
 
     def per_sample_grads(self, x: np.ndarray, targets: np.ndarray):
         """(per-sample losses [n], per-sample flat gradients [n x P]).
@@ -196,22 +193,22 @@ class WeightNet:
 
     def _gated(self, losses: np.ndarray, fam: np.ndarray):
         """Forward pass through each sample's own head: (clamped losses, fam,
-        z1, h, W2[:, fam], v) with v_j = head[fam_j](loss_j)."""
+        h, W2[:, fam], v) with v_j = head[fam_j](loss_j)."""
         ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
         fam = np.atleast_1d(np.asarray(fam))
-        z1 = ell[:, None] * self.W1                     # (n, H)
-        z1 += self.b1
-        h = relu(z1)
+        h = ell[:, None] * self.W1                      # (n, H)
+        h += self.b1
+        np.maximum(h, 0.0, out=h)
         w2 = self.W2[:, fam]                            # (H, n)
         z2 = np.einsum("nh,hn->n", h, w2) + self.b2[fam]
-        return ell, fam, z1, h, w2, sigmoid(z2)
+        return ell, fam, h, w2, sigmoid(z2)
 
     def weight_and_grad(self, losses: np.ndarray, fam: np.ndarray):
         """Per-sample gated weight v_j = head[fam_j](loss_j) and dv_j/dTheta.
 
         Returns (v [n], dv [n x PTheta]) with dv rows laid out like self.flat.
         """
-        ell, fam, z1, h, w2, v = self._gated(losses, fam)
+        ell, fam, h, w2, v = self._gated(losses, fam)
         n = ell.shape[0]
         H, K = self.hidden, self.K
         # backward for the selected head only: in the W2 (H x K) and b2
@@ -221,7 +218,7 @@ class WeightNet:
         dv = np.zeros((n, self.flat.size))
         dz1 = dv[:, H:2 * H]                            # b1, (n, H)
         np.multiply(dz2[:, None], w2.T, out=dz1)
-        dz1 *= z1 > 0
+        dz1 *= h > 0                                    # before h is scaled
         np.multiply(dz1, ell[:, None], out=dv[:, :H])   # W1 (1 x H)
         h *= dz2[:, None]
         # a view of the W2 block, so the indexed write lands in dv

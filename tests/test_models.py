@@ -57,7 +57,7 @@ class TestLogitsOracle:
         clf = Classifier.init(sizes, rng)
         x = 3.0 * rng.normal(size=(37, sizes[0]))
         x_before = x.copy()
-        logits = clf.forward_cached(x)[0][-1]
+        logits = clf.forward_cached(x)[-1]
         assert np.array_equal(x, x_before)
         h = x
         for li, (W, b) in enumerate(zip(clf.weights, clf.biases)):
@@ -70,11 +70,63 @@ class TestLogitsOracle:
         clf = Classifier.init([5, 9, 7, 4], rng)
         x, y = random_batch(rng, 20, 5, 4)
         targets = rng.dirichlet(np.ones(4), size=20)
-        logits = clf.forward_cached(x)[0][-1]
+        logits = clf.forward_cached(x)[-1]
         assert np.array_equal(clf.forward(x), numkit.softmax(logits))
         assert np.array_equal(clf.losses(x, y), numkit.xent(logits, y)[0])
         assert np.array_equal(clf.losses(x, targets),
                               numkit.xent(logits, targets)[0])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestOneArrayPerLayer:
+    """forward_cached rectifies each hidden layer in place and backward
+    reads its ReLU mask from the rectified activations: the same bits as
+    np.maximum of the out-of-place pre-activations and the mask
+    pre-activation > 0, with exact 0, -0.0 and NaN included."""
+
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(5)
+        clf = Classifier.init([4, 6, 5, 3], rng)
+        clf.biases[0][:2] = 0.0
+        x = rng.normal(size=(9, 4))
+        x[0] = 0.0                  # layer 0's pre-activations are b0
+        x[1, 2] = np.nan            # a NaN row
+        pre, h = [], x
+        for W, b in zip(clf.weights, clf.biases):
+            pre.append(h @ W + b)
+            h = np.maximum(pre[-1], 0.0)
+        assert np.any(pre[0] == 0.0) and np.any(np.isnan(pre[0]))
+        assert np.any(pre[0] < 0.0) and np.any(x < 0.0)
+        return clf, x, pre
+
+    def test_activations_are_rectified_pre_activations(self):
+        clf, x, pre = self.case()
+        x_before = x.copy()
+        acts = clf.forward_cached(x)
+        assert len(acts) == 4
+        assert acts[0] is x and np.array_equal(bits(x), bits(x_before))
+        for a, z in zip(acts[1:-1], pre):
+            assert np.array_equal(bits(a), bits(np.maximum(z, 0.0)))
+        assert np.array_equal(bits(acts[-1]), bits(pre[-1]))
+
+    def test_backward_mask_is_pre_activation_mask(self):
+        clf, x, pre = self.case()
+        # a BLAS sum gives +0.0 for an exact zero, so -0.0 is put in by hand
+        pre[0][2, :3] = -0.0
+        pre[1][3, :2] = -0.0
+        dlogits = np.random.default_rng(6).normal(size=pre[-1].shape)
+        want = [dlogits]
+        for li in (2, 1):
+            want.insert(0, (want[0] @ clf.weights[li].T) * (pre[li - 1] > 0))
+        acts = [x] + [np.maximum(z, 0.0) for z in pre[:-1]] + [pre[-1]]
+        got = clf.backward(acts, dlogits)
+        assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
+        # a NaN row has an all-zero mask, so its deltas below the logits are 0
+        assert np.all(got[0][1] == 0.0) and np.all(got[1][1] == 0.0)
 
 
 class TestClassifierGradients:
@@ -310,7 +362,7 @@ class TestOneParameterVector:
         fam = rng.integers(0, K, size=n)
         ell = np.minimum(losses, LOSS_CLAMP)
         z1 = ell[:, None] @ wn.W1 + wn.b1
-        assert np.array_equal(wn._gated(losses, fam)[2], z1)
+        assert np.array_equal(wn._gated(losses, fam)[2], numkit.relu(z1))
         assert np.array_equal(
             wn.forward(losses),
             numkit.sigmoid(numkit.relu(z1) @ wn.W2 + wn.b2))
@@ -346,8 +398,10 @@ class TestWeightJacobianOracle:
 
 
     def test_transient_memory_bound(self):
-        # beyond dv itself, the step holds ell, z1, h and W2[:, fam]; dz1
-        # and the W1 block are filled inside dv, not in (n x H) temporaries
+        # beyond dv itself, the step holds ell, h and W2[:, fam]; the
+        # rectified h gives the ReLU mask, so no pre-activation is kept, and
+        # dz1 and the W1 block are filled inside dv, not in (n x H)
+        # temporaries. Keeping the pre-activation too reads 4.4 n H doubles
         n, H, K = 200, 100, 3
         rng = np.random.default_rng(0)
         wn = WeightNet.init(K, rng, hidden=H)
@@ -360,7 +414,7 @@ class TestWeightJacobianOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - dv.nbytes <= 5 * n * H * 8
+        assert peak - dv.nbytes <= 4 * n * H * 8
 
 
 class TestWeightInRowBlocks:
@@ -402,7 +456,7 @@ class TestClassifierInRowBlocks:
 
     @staticmethod
     def one_pass(clf, x, targets):
-        logits = clf.forward_cached(x)[0][-1]
+        logits = clf.forward_cached(x)[-1]
         return numkit.xent(logits, targets)[0], numkit.softmax(logits)
 
     def case(self, n, soft):
@@ -443,7 +497,10 @@ class TestClassifierInRowBlocks:
             clf.losses(x, y)
 
     def test_losses_memory_does_not_grow_with_n_times_width(self):
-        # one pass over these rows holds two 51 MB (n x 128) arrays
+        # one pass over these rows holds two 51 MB (n x 128) arrays. A
+        # ROWS-row block holds one 262 KB array per hidden layer, about
+        # 1.0 MB at the peak with the losses; a pre-activation copy per
+        # layer as well reads 1.5 MB
         rng = np.random.default_rng(0)
         n = 50_000
         clf = Classifier.init([10, 128, 128, 10], rng)
@@ -455,7 +512,7 @@ class TestClassifierInRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 1.25e6
 
 
 class TestCmwWeight:

@@ -10,14 +10,15 @@ from cmwnet.models import Classifier
 def affine(x, W, b):
     """x @ W + b, as the logits of a one-layer Classifier."""
     clf = Classifier(list(W.shape), numkit.flatten([W, b]))
-    return clf.forward_cached(x)[0][-1]
+    return clf.forward_cached(x)[-1]
 
 
 def relu_grad(z):
     """The ReLU derivative as Classifier.backward applies it: the delta of
-    a one-hidden-unit net with unit weights and pre-activation z."""
+    a one-hidden-unit net with unit weights and zero biases at input z,
+    whose pre-activation is z."""
     clf = Classifier([1, 1, 1], np.array([1.0, 1.0, 0.0, 0.0]))
-    deltas = clf.backward([np.array([[z]]), None], np.ones((1, 1)))
+    deltas = clf.backward(clf.forward_cached(np.array([[z]])), np.ones((1, 1)))
     return float(deltas[0][0, 0])
 
 
