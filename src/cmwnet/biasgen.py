@@ -23,16 +23,12 @@ from .numkit import CorruptArtifact, array_shape, read_arrays, write_arrays
 @dataclass
 class GaussianMixtureSpec:
     means: np.ndarray          # (C, d)
-    sigma: float               # shared isotropic std
-    priors: np.ndarray         # (C,), sums to 1
+    sigma: float               # shared isotropic std; equal class priors
 
     def __post_init__(self):
         self.means = np.asarray(self.means, dtype=np.float64)
-        self.priors = np.asarray(self.priors, dtype=np.float64)
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if abs(self.priors.sum() - 1.0) > 1e-9:
-            raise ValueError("priors must sum to 1")
 
     @property
     def C(self) -> int:
@@ -42,12 +38,13 @@ class GaussianMixtureSpec:
 def posterior(x: np.ndarray, spec: GaussianMixtureSpec) -> np.ndarray:
     """Exact Bayes posterior rows for x (n, d) -> (n, C); rows sum to 1.
 
-    Computed in log space from the isotropic Gaussian class conditionals
-    and the priors, so near-saturated points stay finite.
+    Computed in log space from the isotropic Gaussian class conditionals,
+    so near-saturated points stay finite; the priors are equal, so their
+    log cancels in the normalization.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     d2 = ((x[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
-    logp = -d2 / (2.0 * spec.sigma ** 2) + np.log(spec.priors)[None, :]
+    logp = -d2 / (2.0 * spec.sigma ** 2)
     logp -= logp.max(axis=1, keepdims=True)
     p = np.exp(logp)
     return p / p.sum(axis=1, keepdims=True)
@@ -119,8 +116,7 @@ def make_gaussian_classes(C: int, d: int, n_per_class: int, separation: float,
     if C < 2 or d < min(C - 1, 2) or n_per_class < 1:
         raise ValueError("need C >= 2, d >= min(C - 1, 2), n_per_class >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    spec = GaussianMixtureSpec(_class_means(C, d, separation), sigma,
-                               np.full(C, 1.0 / C))
+    spec = GaussianMixtureSpec(_class_means(C, d, separation), sigma)
     labels = np.repeat(np.arange(C), n_per_class)
     x = spec.means[labels] + rng.normal(scale=sigma, size=(C * n_per_class, d))
     return Dataset(x, labels.copy(), labels.copy(), C, spec)

@@ -78,9 +78,10 @@ def _load_weighted(path) -> models.Checkpoint:
     return ckpt
 
 
-def run(cfg: ExperimentConfig, out: str) -> Path:
+def run(cfg: ExperimentConfig, out: str) -> tuple[Path, dict]:
     """Execute one experiment from a resolved config: load the checkpoint
-    (meta-test), build data, train, persist all artifacts."""
+    (meta-test), build data, train, persist all artifacts. Returns the run
+    directory and the summary written to its report.json."""
     variant = cfg.train.variant
     frozen = (_load_weighted(cfg.train.checkpoint).weightnet
               if variant == "meta-test" else None)
@@ -115,7 +116,7 @@ def run(cfg: ExperimentConfig, out: str) -> Path:
     with open(out_dir / "report.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return out_dir
+    return out_dir, summary
 
 
 def _read_report(run_dir) -> dict:
@@ -176,9 +177,7 @@ def _cmd_train(args) -> int:
         if args.checkpoint:
             cfg.train.checkpoint = args.checkpoint
         cfg.validate()
-    out_dir = run(cfg, args.out)
-    with open(out_dir / "report.json") as fh:
-        report = json.load(fh)
+    out_dir, report = run(cfg, args.out)
     print(f"{report['variant']}: test accuracy {report['accuracy']:.4f} "
           f"({out_dir})")
     return EXIT_OK
@@ -218,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Class-aware meta-learned sample re-weighting experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="YAML config file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")

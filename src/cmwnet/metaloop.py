@@ -209,6 +209,8 @@ def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
                alpha: float) -> float:
     """Plain mean-CE SGD step; returns the batch mean loss."""
     loss, grad = clf.mean_grad(x, targets)
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("non-finite gradient in erm step")
     optimizer.lr = alpha
     optimizer.step(clf.flat, grad)
     return loss

@@ -35,11 +35,14 @@ def evaluate(clf: Classifier, ds: Dataset) -> MetricsReport:
 
 
 def weight_curve(wnet: WeightNet, loss_grid: np.ndarray) -> np.ndarray:
-    """Head outputs over a loss grid; row k is family k's weighting curve."""
+    """Head outputs over a loss grid; row k is family k's weighting curve,
+    the weights that training gives family-k samples at those losses."""
     grid = np.asarray(loss_grid, dtype=np.float64)
     if grid.size and (np.any(np.diff(grid) < 0) or grid[0] < 0):
         raise ValueError("loss grid must be ascending and nonnegative")
-    return wnet.forward(grid).T  # (K, G)
+    K, G = wnet.K, grid.size
+    return wnet.weight(np.tile(grid, K),
+                       np.repeat(np.arange(K), G)).reshape(K, G)
 
 
 def loss_histogram(ds: Dataset, losses: np.ndarray, bins: int = 50):

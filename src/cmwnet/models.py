@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .numkit import (array_shape, flatten, read_arrays, relu, sigmoid,
-                     softmax, write_arrays, xent)
+from .numkit import (array_shape, flatten, read_arrays, sigmoid, softmax,
+                     write_arrays, xent)
 
-DEFAULT_HIDDEN = 100
 # losses above this reach the weighting net as this value
 LOSS_CLAMP = 50.0
 # whole-dataset passes run this many rows at a time, so their temporaries
@@ -158,7 +157,7 @@ class WeightNet:
 
     @classmethod
     def init(cls, K: int, rng: np.random.Generator,
-             hidden: int = DEFAULT_HIDDEN) -> "WeightNet":
+             hidden: int) -> "WeightNet":
         if K < 1:
             raise ValueError("K must be >= 1")
         wnet = cls(hidden, K, np.empty((2 + K) * hidden + K))
@@ -180,21 +179,13 @@ class WeightNet:
     def copy(self) -> "WeightNet":
         return WeightNet(self.hidden, self.K, self.flat.copy())
 
-    def _clamped(self, losses: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(losses)):
-            raise FloatingPointError("non-finite loss input to weight net")
-        return np.minimum(losses, LOSS_CLAMP)
-
-    def forward(self, losses: np.ndarray) -> np.ndarray:
-        """All K head outputs for each loss; shape (n, K), entries in (0, 1)."""
-        ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
-        h = relu(ell[:, None] * self.W1 + self.b1)
-        return sigmoid(h @ self.W2 + self.b2)
-
     def _gated(self, losses: np.ndarray, fam: np.ndarray):
-        """Forward pass through each sample's own head: (clamped losses, fam,
-        h, W2[:, fam], v) with v_j = head[fam_j](loss_j)."""
-        ell = self._clamped(np.atleast_1d(np.asarray(losses, dtype=np.float64)))
+        """The net's one forward pass, through each sample's own head:
+        (clamped losses, fam, h, W2[:, fam], v), v_j = head[fam_j](loss_j)."""
+        ell = np.atleast_1d(np.asarray(losses, dtype=np.float64))
+        if not np.all(np.isfinite(ell)):
+            raise FloatingPointError("non-finite loss input to weight net")
+        ell = np.minimum(ell, LOSS_CLAMP)
         fam = np.atleast_1d(np.asarray(fam))
         h = ell[:, None] * self.W1                      # (n, H)
         h += self.b1

@@ -1,7 +1,7 @@
 """Dense float64 numeric primitives.
 
-Activations and one softmax cross-entropy (int labels become one-hot
-target rows) with hand-derived gradients, first-order optimizers,
+The logistic function and one softmax cross-entropy (int labels become
+one-hot target rows) with hand-derived gradients, first-order optimizers,
 seeded RNG construction, the named-float64-array file that holds every
 binary artifact (and the error for a corrupt one), and the central
 finite-difference oracle used by the test suite. No autodiff anywhere:
@@ -23,11 +23,7 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
 
 
 # ---------------------------------------------------------------------------
-# activations
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
+# the logistic function
 
 
 def sigmoid(x):

@@ -327,6 +327,15 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
         assert "weight net" in err[0]
 
+    # the whole of an erm run, and the warmup epoch of a weighted one
+    @pytest.mark.parametrize("variant", ["erm", "cmwnet"])
+    def test_diverging_erm_step_is_numeric_failure(self, tmp_path, variant):
+        cfg = write_cfg(tmp_path, model={"K": 2},
+                        train={"variant": variant, "lr": 1.0e200})
+        err = self.script_stderr(
+            ["train", "--config", str(cfg), "--out", str(tmp_path / "o")], 3)
+        assert err == ["numeric failure: non-finite gradient in erm step"]
+
     @pytest.mark.parametrize("text", [b"a: [", b"a: \xff\xfe"])
     def test_malformed_yaml_is_config_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.yaml"

@@ -9,7 +9,7 @@ from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
 from cmwnet.metrics import (evaluate, loss_histogram, weight_curve,
                             write_confusion_csv, write_histogram_csv,
                             write_weight_curve_csv)
-from cmwnet.models import Classifier
+from cmwnet.models import LOSS_CLAMP, ROWS, Classifier
 from conftest import tiny_weightnet
 
 
@@ -101,9 +101,21 @@ class TestWeightCurve:
         grid = np.linspace(0, 5, 7)
         table = weight_curve(wn, grid)
         for j, ell in enumerate(grid):
-            np.testing.assert_allclose(table[:, j],
-                                       wn.forward(np.array([ell]))[0],
-                                       atol=1e-14)
+            assert np.array_equal(table[:, j], [
+                wn.weight(np.array([ell]), np.array([k]))[0] for k in range(3)])
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_rows_are_the_weights_training_applies(self, rng, K):
+        # the curve and a training batch share one pass, so a family-k
+        # sample at loss l is weighted exactly table[k] at l; the grid
+        # spans several ROWS blocks and passes the loss clamp
+        wn = tiny_weightnet(rng, K=K)
+        wn.b2[...] = rng.normal(size=K)
+        grid = np.linspace(0.0, 1.5 * LOSS_CLAMP, 2 * ROWS + 37)
+        table = weight_curve(wn, grid)
+        for k in range(K):
+            assert np.array_equal(
+                table[k], wn.weight(grid, np.full(grid.size, k)))
 
     def test_descending_grid_rejected(self, rng):
         wn = tiny_weightnet(rng)

@@ -179,6 +179,14 @@ class TestClassifierGradients:
         assert rel.max() < 1e-5
 
 
+def all_heads(wn, losses):
+    """Every head at every loss, shape (n, K), from the gated pass that
+    training uses: row j, column k is wn.weight at loss j and family k."""
+    n = losses.size
+    return wn.weight(np.tile(losses, wn.K),
+                     np.repeat(np.arange(wn.K), n)).reshape(wn.K, n).T
+
+
 def cmw_weight(loss, count, wn, centers):
     """Weight of one sample whose class has `count` samples, and its Theta
     gradient: the head of the class's family (taskfam.assign_family) at
@@ -194,17 +202,17 @@ class TestFamilyGating:
     def test_nearest_center(self, rng):
         wn = tiny_weightnet(rng, K=3)
         w, _ = cmw_weight(0.8, 60, wn, np.array([5.0, 50.0, 500.0]))
-        assert abs(w - wn.forward(np.array([0.8]))[0, 1]) < 1e-14
+        assert w == all_heads(wn, np.array([0.8]))[0, 1]
 
     def test_single_center(self, rng):
         wn = tiny_weightnet(rng, K=1)
         w, _ = cmw_weight(0.8, 123, wn, np.array([7.0]))
-        assert abs(w - wn.forward(np.array([0.8]))[0, 0]) < 1e-14
+        assert w == all_heads(wn, np.array([0.8]))[0, 0]
 
     def test_midpoint_tie_goes_to_smaller_center(self, rng):
         wn = tiny_weightnet(rng, K=2)
         w, _ = cmw_weight(0.8, 15, wn, np.array([10.0, 20.0]))
-        assert abs(w - wn.forward(np.array([0.8]))[0, 0]) < 1e-14
+        assert w == all_heads(wn, np.array([0.8]))[0, 0]
 
     def test_empty_centers(self, rng):
         with pytest.raises(ValueError):
@@ -215,23 +223,23 @@ class TestWeightNet:
     def test_zero_params_output_half(self, rng):
         wn = tiny_weightnet(rng, K=3)
         wn.flat[...] = 0.0
-        out = wn.forward(np.array([0.0, 1.0, 7.5]))
+        out = all_heads(wn, np.array([0.0, 1.0, 7.5]))
         np.testing.assert_allclose(out, np.full((3, 3), 0.5), atol=1e-12)
 
     def test_outputs_in_open_unit_interval(self, rng):
         wn = tiny_weightnet(rng, K=2)
-        out = wn.forward(rng.uniform(0, 10, size=20))
+        out = all_heads(wn, rng.uniform(0, 10, size=20))
         assert np.all(out > 0) and np.all(out < 1)
 
     def test_fresh_init_starts_near_half(self, rng):
         # zero head bias keeps initial weights uninformative
-        wn = WeightNet.init(3, rng)
+        wn = WeightNet.init(3, rng, hidden=100)
         np.testing.assert_array_equal(wn.b2, np.zeros(3))
 
     def test_nonfinite_loss_rejected(self, rng):
         wn = tiny_weightnet(rng)
         with pytest.raises(FloatingPointError, match="weight net"):
-            wn.forward(np.array([np.inf]))
+            wn.weight(np.array([np.inf]), np.array([0]))
 
     def test_grad_matches_finite_difference(self, rng):
         wn = tiny_weightnet(rng, K=3)
@@ -253,8 +261,8 @@ class TestWeightNet:
         losses = rng.uniform(0, 5, size=6)
         fams = rng.integers(0, 3, size=6)
         v = wn.weight(losses, fams)
-        table = wn.forward(losses)
-        np.testing.assert_allclose(v, table[np.arange(6), fams], atol=1e-14)
+        table = all_heads(wn, losses)
+        assert np.array_equal(v, table[np.arange(6), fams])
 
     # tail=None keeps every loss below the clamp; a number puts every other
     # loss at up to that multiple of it
@@ -270,7 +278,7 @@ class TestWeightNet:
 
     def test_loss_clamp_flattens_tail(self, rng):
         wn = tiny_weightnet(rng)
-        heads = wn.forward(np.array([LOSS_CLAMP, LOSS_CLAMP + 1.0, 500.0]))
+        heads = all_heads(wn, np.array([LOSS_CLAMP, LOSS_CLAMP + 1.0, 500.0]))
         np.testing.assert_array_equal(heads[1:], heads[[0, 0]])
 
 
@@ -352,7 +360,8 @@ class TestOneParameterVector:
     @pytest.mark.parametrize("seed", range(5))
     def test_broadcast_input_layer_equals_matmul(self, seed):
         # each entry of the (n x 1) @ (1 x H) product is one product, so
-        # the broadcast form is the same bits
+        # the broadcast form is the same bits, and so is every weight built
+        # on it
         rng = np.random.default_rng(seed)
         n, H, K = (int(v) for v in rng.integers(1, 300, size=3))
         K = K % 5 + 1
@@ -361,11 +370,11 @@ class TestOneParameterVector:
         losses = rng.exponential(3.0, size=n)
         fam = rng.integers(0, K, size=n)
         ell = np.minimum(losses, LOSS_CLAMP)
-        z1 = ell[:, None] @ wn.W1 + wn.b1
-        assert np.array_equal(wn._gated(losses, fam)[2], numkit.relu(z1))
-        assert np.array_equal(
-            wn.forward(losses),
-            numkit.sigmoid(numkit.relu(z1) @ wn.W2 + wn.b2))
+        h = np.maximum(ell[:, None] @ wn.W1 + wn.b1, 0.0)
+        gated = wn._gated(losses, fam)
+        assert np.array_equal(gated[2], h)
+        z2 = np.einsum("nh,hn->n", h, wn.W2[:, fam]) + wn.b2[fam]
+        assert np.array_equal(gated[-1], numkit.sigmoid(z2))
 
 
 class TestWeightJacobianOracle:

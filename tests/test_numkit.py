@@ -13,11 +13,22 @@ def affine(x, W, b):
     return clf.forward_cached(x)[-1]
 
 
+def unit_net():
+    """A one-hidden-unit classifier with unit weights and zero biases, whose
+    hidden pre-activation at input z is z."""
+    return Classifier([1, 1, 1], np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def relu(z):
+    """ReLU as Classifier.forward_cached applies it in place: the hidden
+    activation of unit_net at input z."""
+    return float(unit_net().forward_cached(np.array([[z]]))[1][0, 0])
+
+
 def relu_grad(z):
     """The ReLU derivative as Classifier.backward applies it: the delta of
-    a one-hidden-unit net with unit weights and zero biases at input z,
-    whose pre-activation is z."""
-    clf = Classifier([1, 1, 1], np.array([1.0, 1.0, 0.0, 0.0]))
+    unit_net at input z."""
+    clf = unit_net()
     deltas = clf.backward(clf.forward_cached(np.array([[z]])), np.ones((1, 1)))
     return float(deltas[0][0, 0])
 
@@ -57,7 +68,7 @@ class TestActivations:
         assert s * (1.0 - s) == 0.25
 
     def test_relu_negative(self):
-        assert numkit.relu(np.array(-3.0)) == 0.0
+        assert relu(-3.0) == 0.0
         assert relu_grad(-3.0) == 0.0
 
     def test_relu_grad_zero_at_origin(self):
@@ -92,7 +103,7 @@ class TestActivations:
             s = numkit.sigmoid(np.array(x))
             assert abs(s * (1.0 - s) - fd[0]) < 1e-6
             fd = numkit.finite_diff_grad(
-                lambda t: float(numkit.relu(t[0])), np.array([abs(x)]))
+                lambda t: relu(t[0]), np.array([abs(x)]))
             assert abs(relu_grad(abs(x)) - fd[0]) < 1e-6
 
 
