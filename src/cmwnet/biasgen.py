@@ -133,8 +133,6 @@ def apply_longtail(ds: Dataset, factor: float, seed: int) -> Dataset:
     counts = ds.class_counts()
     if counts.min() != counts.max():
         raise ValueError("long-tail subsampling expects a balanced dataset")
-    if factor == 1.0:
-        return ds.copy()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n0 = counts[0]
     mu = factor ** (-1.0 / (ds.C - 1))
@@ -159,8 +157,6 @@ def inject_symmetric(ds: Dataset, rate: float, seed: int) -> Dataset:
     if not 0.0 <= rate <= 1.0:
         raise ValueError("rate must be in [0, 1]")
     out = ds.copy()
-    if rate == 0.0:
-        return out
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     n_flip = int(round(rate * ds.n))
     chosen = rng.choice(ds.n, size=n_flip, replace=False)
@@ -187,8 +183,6 @@ def inject_asymmetric(ds: Dataset, rate: float, seed: int) -> Dataset:
         raise ValueError("asymmetric noise needs the mixture's class means")
     mapping = nearest_class_mapping(ds.mixture)
     out = ds.copy()
-    if rate == 0.0:
-        return out
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for c in range(ds.C):
         members = np.where(ds.observed_labels == c)[0]

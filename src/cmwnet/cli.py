@@ -29,8 +29,6 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 OUT_ROOT_ENV = "CMWNET_OUT_ROOT"
-# the losses at which weight_curve.csv samples every head, in run and curves
-LOSS_GRID = np.linspace(0.0, 10.0, 101)
 
 
 def _resolve_out(out: str) -> Path:
@@ -101,8 +99,7 @@ def run(cfg: ExperimentConfig, out: str) -> tuple[Path, dict]:
     report = state.test_report
     metrics.write_confusion_csv(out_dir / "confusion.csv", report)
     if state.wnet is not None:
-        metrics.write_weight_curve_csv(out_dir / "weight_curve.csv",
-                                       state.wnet, LOSS_GRID)
+        metrics.write_weight_curve_csv(out_dir / "weight_curve.csv", state.wnet)
         metrics.write_histogram_csv(out_dir / "histogram.csv", train_ds,
                                     state.train_losses)
     summary = dict(state.final_report)
@@ -195,18 +192,20 @@ def _cmd_compare(args) -> int:
 def _cmd_curves(args) -> int:
     ckpt = _load_weighted(args.checkpoint)
     ds = biasgen.load_dataset(args.dataset) if args.dataset else None
-    sizes = ckpt.classifier.sizes
-    if ds is not None and (ds.d, ds.C) != (sizes[0], sizes[-1]):
-        raise ConfigError(
-            f"dataset {args.dataset} has d={ds.d}, C={ds.C}; the "
-            f"checkpoint's classifier takes d={sizes[0]}, C={sizes[-1]}")
-    out_dir = _resolve_out(args.out)
-    metrics.write_weight_curve_csv(out_dir / "weight_curve.csv",
-                                   ckpt.weightnet, LOSS_GRID)
     if ds is not None:
-        metrics.write_histogram_csv(
-            out_dir / "histogram.csv", ds,
-            ckpt.classifier.losses(ds.features, ds.observed_labels))
+        sizes = ckpt.classifier.sizes
+        if (ds.d, ds.C) != (sizes[0], sizes[-1]):
+            raise ConfigError(
+                f"dataset {args.dataset} has d={ds.d}, C={ds.C}; the "
+                f"checkpoint's classifier takes d={sizes[0]}, C={sizes[-1]}")
+        losses = ckpt.classifier.losses(ds.features, ds.observed_labels)
+        if not np.all(np.isfinite(losses)):
+            raise FloatingPointError(
+                f"non-finite classifier loss on dataset {args.dataset}")
+    out_dir = _resolve_out(args.out)
+    metrics.write_weight_curve_csv(out_dir / "weight_curve.csv", ckpt.weightnet)
+    if ds is not None:
+        metrics.write_histogram_csv(out_dir / "histogram.csv", ds, losses)
     print(f"wrote curves to {out_dir}")
     return EXIT_OK
 

@@ -42,19 +42,10 @@ ALPHA_TE, BETA_WA, SL_MIXUP = 0.9, 0.99, 1.0
 # meta-set construction
 
 
-@dataclass(eq=False)
-class MetaBatch:
-    x: np.ndarray          # (m, d)
-    targets: np.ndarray    # (m, C) soft rows
-
-    @property
-    def m(self) -> int:
-        return self.x.shape[0]
-
-
 def build_meta_set(ds: Dataset, clf: Classifier, per_class: int,
-                   mixup: bool, rng: np.random.Generator) -> MetaBatch:
-    """Class-balanced trusted batch drawn from the training data.
+                   mixup: bool, rng: np.random.Generator):
+    """Class-balanced trusted batch drawn from the training data, as
+    (x [m, d], targets [m, C] soft rows).
 
     Picks the per_class samples with the smallest current cross-entropy
     loss per observed class. With mixup, pairs inside the batch are
@@ -79,7 +70,7 @@ def build_meta_set(ds: Dataset, clf: Classifier, per_class: int,
         lam = rng.beta(1.0, 1.0, size=idx.size)[:, None]
         x = lam * x + (1.0 - lam) * x[perm]
         targets = lam * targets + (1.0 - lam) * targets[perm]
-    return MetaBatch(x, targets)
+    return x, targets
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +211,16 @@ def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
 # soft-label (pseudo-label) variant
 
 
-def ema_update(w_wa: Classifier, clf: Classifier, beta_wa: float) -> None:
-    """w_wa <- beta*w_wa + (1-beta)*w, in place."""
-    if not 0.0 <= beta_wa < 1.0:
-        raise ValueError("beta_wa must be in [0, 1)")
-    w_wa.flat[...] = beta_wa * w_wa.flat + (1.0 - beta_wa) * clf.flat
+def ema_update(w_wa: Classifier, clf: Classifier) -> None:
+    """w_wa <- BETA_WA * w_wa + (1 - BETA_WA) * w, in place."""
+    w_wa.flat[...] = BETA_WA * w_wa.flat + (1.0 - BETA_WA) * clf.flat
 
 
-def temporal_ensemble(z_rows: np.ndarray, p_rows: np.ndarray,
-                      alpha_te: float) -> np.ndarray:
-    """Convex blend of stored ensembled predictions with fresh ones,
-    row-renormalized (uniform fallback for degenerate rows)."""
-    if not 0.0 <= alpha_te < 1.0:
-        raise ValueError("alpha_te must be in [0, 1)")
-    z = alpha_te * z_rows + (1.0 - alpha_te) * p_rows
-    s = z.sum(axis=1, keepdims=True)
-    bad = (s <= 1e-300).ravel()
-    if bad.any():
-        z[bad] = 1.0 / z.shape[1]
-        s = z.sum(axis=1, keepdims=True)
-    return z / s
+def temporal_ensemble(z_rows: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
+    """Convex blend (rate ALPHA_TE) of stored ensembled predictions with
+    fresh ones, row-renormalized; both are probability rows."""
+    z = ALPHA_TE * z_rows + (1.0 - ALPHA_TE) * p_rows
+    return z / z.sum(axis=1, keepdims=True)
 
 
 def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
@@ -378,11 +359,10 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     rng_init_clf, rng_init_wn, rng_order, rng_meta, _, rng_sl = \
         spawn_rngs(seed, 6)
 
-    fam = kmeans_1d(ds.class_counts(), cfg.model.K)
     clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng_init_clf)
-    wnet = None
-    theta_opt = None
+    fam = wnet = theta_opt = None
     if variant != "erm":
+        fam = kmeans_1d(ds.class_counts(), cfg.model.K)
         wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H)
         theta_opt = Adam(cfg.train.theta_lr,
                          weight_decay=cfg.train.theta_weight_decay)
@@ -430,7 +410,8 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     """
     cfg.validate()
     clf, wnet, tc = state.clf, state.wnet, cfg.train
-    K = state.fam.K if state.fam is not None else 1
+    # no family index (no weighting net): no family columns
+    K = state.fam.K if state.fam is not None else 0
     fams_all = None
     if state.fam is not None:
         fams_all = state.fam.class_to_family[ds.observed_labels]
@@ -446,8 +427,9 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     for epoch in range(tc.epochs):
         weighted = wnet is not None and epoch >= tc.warmup_epochs
         if weighted and state.theta_opt is not None:
-            meta_pool = build_meta_set(ds, clf, tc.meta_per_class,
-                                       tc.mixup_meta, rng_meta)
+            meta_x, meta_t = build_meta_set(ds, clf, tc.meta_per_class,
+                                            tc.mixup_meta, rng_meta)
+            m = meta_x.shape[0]
         order = rng_order.permutation(n)
         for it in range(iters_per_epoch):
             idx = order[it * batch:(it + 1) * batch]
@@ -471,10 +453,9 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                 if state.theta_opt is not None:
                     f = cache.factors
                     # the whole meta set, in a fresh order
-                    midx = rng_meta.choice(meta_pool.m, size=meta_pool.m,
-                                           replace=False)
-                    hg, meta_loss = hypergrad(cache, clf_hat, meta_pool.x[midx],
-                                              meta_pool.targets[midx])
+                    midx = rng_meta.choice(m, size=m, replace=False)
+                    hg, meta_loss = hypergrad(cache, clf_hat, meta_x[midx],
+                                              meta_t[midx])
                     del clf_hat, cache  # free dv before the next is built
                     state.theta_opt.lr = (
                         _schedule_lr(tc.schedule, tc.theta_lr, epoch, state.t,
@@ -514,9 +495,9 @@ def _sl_batch(state: TrainState, idx, x, y, fams, rng):
     Refreshes the EMA classifier and the batch's ensembled targets, draws
     the mixup pairing and returns sl_virtual_step's batch arguments.
     """
-    ema_update(state.w_wa, state.clf, BETA_WA)
+    ema_update(state.w_wa, state.clf)
     p = state.w_wa.forward(x)
-    state.z[idx] = temporal_ensemble(state.z[idx], p, ALPHA_TE)
+    state.z[idx] = temporal_ensemble(state.z[idx], p)
     lam = float(rng.beta(SL_MIXUP, SL_MIXUP))
     lam = max(lam, 1.0 - lam)
     perm = rng.permutation(idx.size)

@@ -10,6 +10,10 @@ import numpy as np
 from .biasgen import Dataset
 from .models import Classifier, WeightNet
 
+# the losses at which weight_curve.csv samples every head
+LOSS_GRID = np.linspace(0.0, 10.0, 101)
+HIST_BINS = 50   # equal-width loss bins of histogram.csv
+
 
 @dataclass
 class MetricsReport:
@@ -45,17 +49,16 @@ def weight_curve(wnet: WeightNet, loss_grid: np.ndarray) -> np.ndarray:
                        np.repeat(np.arange(K), G)).reshape(K, G)
 
 
-def loss_histogram(ds: Dataset, losses: np.ndarray, bins: int = 50):
+def loss_histogram(ds: Dataset, losses: np.ndarray):
     """Per-class histograms of the samples' losses (one per row of ds),
     split into clean and noisy samples.
 
-    Returns (edges [bins+1], clean_counts [C x bins], noisy_counts [C x bins]).
+    Returns (edges [HIST_BINS+1], clean_counts [C x HIST_BINS],
+    noisy_counts [C x HIST_BINS]).
     """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    edges = np.linspace(0.0, max(float(losses.max()), 1e-12), bins + 1)
-    clean_counts = np.zeros((ds.C, bins), dtype=np.int64)
-    noisy_counts = np.zeros((ds.C, bins), dtype=np.int64)
+    edges = np.linspace(0.0, max(float(losses.max()), 1e-12), HIST_BINS + 1)
+    clean_counts = np.zeros((ds.C, HIST_BINS), dtype=np.int64)
+    noisy_counts = np.zeros((ds.C, HIST_BINS), dtype=np.int64)
     noisy = ds.noisy_mask()
     for c in range(ds.C):
         sel = ds.observed_labels == c
@@ -68,19 +71,18 @@ def loss_histogram(ds: Dataset, losses: np.ndarray, bins: int = 50):
 # CSV emission
 
 
-def write_weight_curve_csv(path, wnet: WeightNet, loss_grid: np.ndarray) -> None:
-    table = weight_curve(wnet, loss_grid)
+def write_weight_curve_csv(path, wnet: WeightNet) -> None:
+    table = weight_curve(wnet, LOSS_GRID)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["loss"] + [f"family_{k}" for k in range(wnet.K)])
-        for j, ell in enumerate(loss_grid):
+        for j, ell in enumerate(LOSS_GRID):
             writer.writerow([f"{ell:.10g}"] +
                             [f"{table[k, j]:.10g}" for k in range(wnet.K)])
 
 
-def write_histogram_csv(path, ds: Dataset, losses: np.ndarray,
-                        bins: int = 50) -> None:
-    edges, clean_counts, noisy_counts = loss_histogram(ds, losses, bins)
+def write_histogram_csv(path, ds: Dataset, losses: np.ndarray) -> None:
+    edges, clean_counts, noisy_counts = loss_histogram(ds, losses)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "bin_lo", "bin_hi", "clean_count", "noisy_count"])

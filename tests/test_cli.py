@@ -117,6 +117,18 @@ class TestTrain:
             "clf_W_0", "clf_W_1", "clf_b_0", "clf_b_1",
             "wn_W1", "wn_b1", "wn_W2", "wn_b2", "centers"}
 
+    def test_erm_run_clusters_nothing(self, tmp_path):
+        # no weighting net: no k-means warning, no family columns and no
+        # family centers in the checkpoint
+        cfg = write_cfg(tmp_path, model={"K": 5}, train={"variant": "erm"})
+        out = tmp_path / "run"
+        assert TestExitCodes.script_stderr(
+            ["train", "--config", str(cfg), "--out", str(out)], 0) == []
+        header = (out / "metrics.csv").read_text().splitlines()[0]
+        assert "family_weight_" not in header
+        assert load_checkpoint(out / "checkpoint.ckpt").centers is None
+        assert "centers" not in read_arrays(out / "checkpoint.ckpt")
+
     def test_partial_sl_takes_defaults(self, tmp_path):
         # the soft-label rates and momentum are metaloop constants, so a
         # cmwnet-sl run always takes them and its snapshot names none
@@ -704,4 +716,23 @@ class TestCurves:
         code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
                          "--out", str(tmp_path / "c")])
         assert code == 2
+        assert files_under(tmp_path / "c") == []
+
+    def test_nonfinite_losses_are_numeric_failure(self, tmp_path, capsys):
+        """Finite features that overflow the classifier give no histogram:
+        exit 3 before anything is written."""
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(write_cfg(tmp_path)),
+                         "--out", str(out)]) == 0
+        arrays = read_arrays(out / "train.cmwd")
+        arrays["features"][:2] = [[1.7e308], [-1.7e308]]
+        write_arrays(tmp_path / "overflow.cmwd", arrays)
+        capsys.readouterr()
+        code = cli.main(["curves", "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--out", str(tmp_path / "c"),
+                         "--dataset", str(tmp_path / "overflow.cmwd")])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric failure: ")
+        assert "overflow.cmwd" in err[0]
         assert files_under(tmp_path / "c") == []

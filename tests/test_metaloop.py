@@ -10,10 +10,10 @@ from cmwnet import metaloop, numkit
 from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
 from cmwnet.config import (ConfigError, ExperimentConfig, build_test_dataset,
                            build_train_dataset, config_from_dict)
-from cmwnet.metaloop import (MetaBatch, build_meta_set, classifier_update,
-                             ema_update, erm_update, hypergrad, meta_test,
-                             meta_train, meta_update, sl_virtual_step,
-                             temporal_ensemble, virtual_step)
+from cmwnet.metaloop import (ALPHA_TE, BETA_WA, build_meta_set,
+                             classifier_update, ema_update, erm_update,
+                             hypergrad, meta_test, meta_train, meta_update,
+                             sl_virtual_step, temporal_ensemble, virtual_step)
 from cmwnet.metrics import evaluate
 from cmwnet.models import Classifier, WeightNet
 from cmwnet.numkit import Adam, SgdMomentum
@@ -373,8 +373,8 @@ class TestClassifierUpdate:
 
 
 class TestStepStateIdentity:
-    """StepFactors, VirtualStepCache and MetaBatch compare by identity, so
-    == answers instead of comparing array fields, and a WeakSet holds them."""
+    """StepFactors and VirtualStepCache compare by identity, so == answers
+    instead of comparing array fields, and a WeakSet holds them."""
 
     @staticmethod
     def instances(seed):
@@ -383,7 +383,7 @@ class TestStepStateIdentity:
         x, y = random_batch(rng, 5, 3, 4)
         _, cache = virtual_step(clf, wnet, x, y, np.zeros(5, dtype=np.int64),
                                 0.1, True)
-        return [cache.factors, cache, MetaBatch(x, onehot(y, 4))]
+        return [cache.factors, cache]
 
     def test_eq_is_identity(self):
         for a, b in zip(self.instances(0), self.instances(0)):
@@ -393,7 +393,7 @@ class TestStepStateIdentity:
     def test_weakset_holds_each(self):
         objs = self.instances(1)
         held = weakref.WeakSet(objs)
-        assert len(held) == 3 and all(o in held for o in objs)
+        assert len(held) == 2 and all(o in held for o in objs)
         objs.clear()
         assert len(held) == 0
 
@@ -406,20 +406,21 @@ class TestMetaSet:
     def test_batch_size(self, rng):
         ds = self.make_ds()
         clf = Classifier.init([3, 8, 4], rng)
-        batch = build_meta_set(ds, clf, per_class=10, mixup=False, rng=rng)
-        assert batch.m == 40
+        x, targets = build_meta_set(ds, clf, per_class=10, mixup=False,
+                                    rng=rng)
+        assert x.shape[0] == targets.shape[0] == 40
 
     def test_lowest_loss_selection_is_minimal(self, rng):
         ds = self.make_ds()
         clf = Classifier.init([3, 8, 4], rng)
-        batch = build_meta_set(ds, clf, per_class=5, mixup=False, rng=rng)
+        x, targets = build_meta_set(ds, clf, per_class=5, mixup=False,
+                                    rng=rng)
         losses = clf.losses(ds.features, ds.observed_labels)
         for c in range(4):
             members = losses[ds.observed_labels == c]
             threshold = np.sort(members)[4]
-            sel = batch.targets.argmax(axis=1) == c
-            picked = clf.losses(batch.x[sel],
-                                batch.targets[sel].argmax(axis=1))
+            sel = targets.argmax(axis=1) == c
+            picked = clf.losses(x[sel], targets[sel].argmax(axis=1))
             assert np.all(picked <= threshold + 1e-12)
 
     def test_small_class_warns_and_takes_all(self, rng):
@@ -432,9 +433,10 @@ class TestMetaSet:
         clf = Classifier.init([3, 8, 4], rng)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            batch = build_meta_set(small, clf, per_class=10, mixup=False, rng=rng)
+            x, _ = build_meta_set(small, clf, per_class=10, mixup=False,
+                                  rng=rng)
         assert any("taking all" in str(w.message) for w in caught)
-        assert batch.m == 3 + 30
+        assert x.shape[0] == 3 + 30
 
     def test_mixup_endpoint_identity(self, rng):
         ds = self.make_ds()
@@ -453,61 +455,51 @@ class TestMetaSet:
 
         mixed = build_meta_set(ds, clf, per_class=4, mixup=True,
                                rng=LamOne(np.random.default_rng(3)))
-        np.testing.assert_allclose(mixed.x, plain.x, atol=1e-12)
-        np.testing.assert_allclose(mixed.targets, plain.targets, atol=1e-12)
+        np.testing.assert_allclose(mixed[0], plain[0], atol=1e-12)
+        np.testing.assert_allclose(mixed[1], plain[1], atol=1e-12)
 
     def test_mixup_targets_are_convex(self, rng):
         ds = self.make_ds()
         clf = Classifier.init([3, 8, 4], rng)
-        batch = build_meta_set(ds, clf, per_class=10, mixup=True, rng=rng)
-        np.testing.assert_allclose(batch.targets.sum(axis=1),
-                                   np.ones(batch.m), atol=1e-12)
-        assert np.all(batch.targets >= 0)
+        _, targets = build_meta_set(ds, clf, per_class=10, mixup=True,
+                                    rng=rng)
+        np.testing.assert_allclose(targets.sum(axis=1),
+                                   np.ones(targets.shape[0]), atol=1e-12)
+        assert np.all(targets >= 0)
 
 
 class TestSoftLabelPieces:
-    def test_ema_beta_zero_copies(self, rng):
+    def test_ema_is_beta_wa_blend(self, rng):
         a = tiny_classifier(rng)
         b = tiny_classifier(rng)
-        ema_update(a, b, 0.0)
-        np.testing.assert_array_equal(a.flat, b.flat)
+        want = BETA_WA * a.flat + (1.0 - BETA_WA) * b.flat
+        ema_update(a, b)
+        np.testing.assert_array_equal(a.flat, want)
 
     def test_ema_geometric_decay(self, rng):
         a = tiny_classifier(rng)
         b = tiny_classifier(rng)
-        beta = 0.99
         gap = np.linalg.norm(a.flat - b.flat)
         for _ in range(3):
-            ema_update(a, b, beta)
+            ema_update(a, b)
             gap_next = np.linalg.norm(a.flat - b.flat)
-            assert abs(gap_next - beta * gap) < 1e-9
+            assert abs(gap_next - BETA_WA * gap) < 1e-9
             gap = gap_next
 
     def test_temporal_ensemble_geometric_convergence(self):
         z = np.array([[1.0, 0.0, 0.0]])
         p = np.array([[0.2, 0.5, 0.3]])
         for t in range(1, 4):
-            z = temporal_ensemble(z, p, 0.9)
-            expect = 0.9 ** t * np.array([1.0, 0.0, 0.0]) + (1 - 0.9 ** t) * p[0]
+            z = temporal_ensemble(z, p)
+            expect = (ALPHA_TE ** t * np.array([1.0, 0.0, 0.0])
+                      + (1 - ALPHA_TE ** t) * p[0])
             np.testing.assert_allclose(z[0], expect, atol=1e-12)
 
     def test_temporal_ensemble_rows_sum_to_one(self, rng):
         z = rng.dirichlet(np.ones(4), size=6)
         p = rng.dirichlet(np.ones(4), size=6)
-        out = temporal_ensemble(z, p, 0.9)
+        out = temporal_ensemble(z, p)
         np.testing.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-12)
-
-    def test_degenerate_row_falls_back_to_uniform(self):
-        z = np.zeros((1, 4))
-        p = np.zeros((1, 4))
-        out = temporal_ensemble(z, p, 0.9)
-        np.testing.assert_allclose(out[0], np.full(4, 0.25))
-
-    def test_invalid_momentum_rejected(self, rng):
-        with pytest.raises(ValueError):
-            temporal_ensemble(np.ones((1, 2)), np.ones((1, 2)), 1.0)
-        with pytest.raises(ValueError):
-            ema_update(tiny_classifier(rng), tiny_classifier(rng), -0.1)
 
 
 class TestSoftLabelStep:
@@ -654,7 +646,16 @@ class TestMetaTrain:
         cfg = desk_cfg("erm", epochs=1)
         ds = build_train_dataset(cfg)
         state = meta_train(ds, cfg, seed=0)
-        assert state.wnet is None
+        assert state.wnet is None and state.fam is None
+        assert not any(c.startswith("family_weight_")
+                       for c in state.logger.columns)
+
+    def test_transfer_without_weightnet_logs_no_families(self):
+        cfg = desk_cfg(epochs=1)
+        state = meta_test(None, build_train_dataset(cfg), cfg, seed=0)
+        assert state.fam is None
+        assert not any(c.startswith("family_weight_")
+                       for c in state.logger.columns)
 
     def test_every_weighted_iteration_takes_a_meta_step(self, monkeypatch):
         # one hypergradient per weighted iteration, always on the whole

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
-from cmwnet.metrics import (evaluate, loss_histogram, weight_curve,
-                            write_confusion_csv, write_histogram_csv,
-                            write_weight_curve_csv)
+from cmwnet.metrics import (HIST_BINS, LOSS_GRID, evaluate, loss_histogram,
+                            weight_curve, write_confusion_csv,
+                            write_histogram_csv, write_weight_curve_csv)
 from cmwnet.models import LOSS_CLAMP, ROWS, Classifier
 from conftest import tiny_weightnet
 
@@ -132,8 +132,9 @@ class TestLossHistogram:
         ds = make_gaussian_classes(3, 2, 20, 5.0, 1.0, 0)
         clf = Classifier.init([2, 3], rng)
         clf.flat[...] = 0.0
-        edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf),
-                                             bins=10)
+        edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf))
+        assert edges.shape == (HIST_BINS + 1,)
+        assert clean.shape == noisy.shape == (3, HIST_BINS)
         assert clean.sum() + noisy.sum() == ds.n
         occupied = np.count_nonzero(clean.sum(axis=0) + noisy.sum(axis=0))
         assert occupied == 1
@@ -142,8 +143,7 @@ class TestLossHistogram:
         ds = inject_symmetric(make_gaussian_classes(4, 2, 50, 5.0, 1.0, 0),
                               0.3, 1)
         clf = Classifier.init([2, 8, 4], rng)
-        edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf),
-                                             bins=20)
+        edges, clean, noisy = loss_histogram(ds, observed_losses(ds, clf))
         assert clean.sum() == int((~ds.noisy_mask()).sum())
         assert noisy.sum() == int(ds.noisy_mask().sum())
 
@@ -152,7 +152,7 @@ class TestLossHistogram:
                               0.4, 1)
         clf = Classifier.init([2, 6, 3], rng)
         losses = observed_losses(ds, clf)
-        edges, clean, noisy = loss_histogram(ds, losses, bins=7)
+        edges, clean, noisy = loss_histogram(ds, losses)
         noisy_mask = ds.noisy_mask()
         for c in range(3):
             for split, table in ((False, clean), (True, noisy)):
@@ -161,34 +161,29 @@ class TestLossHistogram:
                 brute, _ = np.histogram(vals, bins=edges)
                 np.testing.assert_array_equal(table[c], brute)
 
-    def test_invalid_bins(self, rng):
-        ds = make_gaussian_classes(3, 2, 5, 5.0, 1.0, 0)
-        clf = Classifier.init([2, 3], rng)
-        with pytest.raises(ValueError):
-            loss_histogram(ds, observed_losses(ds, clf), bins=0)
-
 
 class TestCsvEmission:
     def test_weight_curve_schema(self, rng, tmp_path):
         wn = tiny_weightnet(rng, K=3)
         path = tmp_path / "curve.csv"
-        write_weight_curve_csv(path, wn, np.linspace(0, 10, 5))
+        write_weight_curve_csv(path, wn)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["loss", "family_0", "family_1", "family_2"]
-        assert len(rows) == 6
+        assert len(rows) == 1 + LOSS_GRID.size
+        assert [r[0] for r in rows[1:]] == [f"{v:.10g}" for v in LOSS_GRID]
 
     def test_histogram_schema(self, rng, tmp_path):
         ds = inject_symmetric(make_gaussian_classes(3, 2, 30, 5.0, 1.0, 0),
                               0.3, 1)
         clf = Classifier.init([2, 3], rng)
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, ds, observed_losses(ds, clf), bins=4)
+        write_histogram_csv(path, ds, observed_losses(ds, clf))
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["class", "bin_lo", "bin_hi", "clean_count",
                            "noisy_count"]
-        assert len(rows) == 1 + 3 * 4
+        assert len(rows) == 1 + 3 * HIST_BINS
         total = sum(int(r[3]) + int(r[4]) for r in rows[1:])
         assert total == ds.n
 
