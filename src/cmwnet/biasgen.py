@@ -118,8 +118,10 @@ def make_gaussian_classes(C: int, d: int, n_per_class: int, separation: float,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     spec = GaussianMixtureSpec(_class_means(C, d, separation), sigma)
     labels = np.repeat(np.arange(C), n_per_class)
-    x = spec.means[labels] + rng.normal(scale=sigma, size=(C * n_per_class, d))
-    return Dataset(x, labels.copy(), labels.copy(), C, spec)
+    # one n x d array: each class mean is added in place to its block of rows
+    x = rng.normal(scale=sigma, size=(C, n_per_class, d))
+    x += spec.means[:, None, :]
+    return Dataset(x.reshape(-1, d), labels.copy(), labels.copy(), C, spec)
 
 
 # ---------------------------------------------------------------------------

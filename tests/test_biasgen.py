@@ -1,5 +1,6 @@
 """Synthetic dataset generation and bias injection."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,6 +51,34 @@ class TestGaussianClasses:
         a = make_gaussian_classes(3, 4, 20, 5.0, 1.0, 9)
         b = make_gaussian_classes(3, 4, 20, 5.0, 1.0, 9)
         np.testing.assert_array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("C, d, n_per_class", [
+        (10, 8, 40),  # simplex means
+        (4, 2, 25),   # circle means
+        (2, 1, 9),
+        (3, 2, 1),
+    ])
+    def test_equals_gathered_means_plus_noise(self, C, d, n_per_class):
+        # the in-place draw is the same single addition per feature as
+        # means[labels] + noise, so the features match bit for bit
+        ds = make_gaussian_classes(C, d, n_per_class, 5.0, 1.5, 11)
+        noise = np.random.default_rng(np.random.SeedSequence(11)).normal(
+            scale=1.5, size=(C * n_per_class, d))
+        want = ds.mixture.means[ds.clean_labels] + noise
+        assert ds.features.shape == want.shape
+        assert ds.features.tobytes() == want.tobytes()
+
+    def test_draw_holds_one_feature_array(self):
+        make_gaussian_classes(10, 8, 2, 5.0, 1.0, 0)  # first-call set-up
+        tracemalloc.start()
+        try:
+            ds = make_gaussian_classes(10, 8, 2000, 5.0, 1.0, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the features, the label vector and its two copies; a gathered
+        # means[labels] beside the noise would need a second n x d array
+        assert peak < 1.5 * ds.features.nbytes + 3 * ds.clean_labels.nbytes
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
