@@ -276,6 +276,11 @@ class BiasSpec:
     def __post_init__(self):
         if self.kind not in _BIAS_KINDS:
             raise ValueError(f"unknown bias kind {self.kind!r}")
+        # longtail reads only imbalance_factor, the noise kinds only level
+        ignored = "level" if self.kind == "longtail" else "imbalance_factor"
+        if getattr(self, ignored) != getattr(BiasSpec, ignored):
+            raise ValueError(f"kind {self.kind!r} does not read {ignored}, "
+                             f"got {getattr(self, ignored)}")
         if not 0.0 <= self.level <= 1.0:
             raise ValueError("level must be in [0, 1]")
         if self.imbalance_factor < 1.0:

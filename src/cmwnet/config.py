@@ -8,6 +8,7 @@ seed) alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -33,37 +34,18 @@ class DatasetConfig:
     bias: list[dict] = field(default_factory=list)
 
     def validate(self):
-        if self.C < 2:
-            raise ConfigError("dataset.C must be >= 2")
         if self.d < min(self.C - 1, 2):  # C >= 3 class means lie on a circle
             raise ConfigError("dataset.d must be >= 1 (2 when dataset.C >= 3)")
-        if self.n_per_class < 1:
-            raise ConfigError("dataset.n_per_class must be >= 1")
         if self.sigma <= 0:
             raise ConfigError("dataset.sigma must be positive")
-        _check_seed("dataset.seed", self.seed)
-        fields = BiasSpec.__dataclass_fields__
         for i, spec in enumerate(self.bias):
-            bad = sorted(f"dataset.bias[{i}].{k}" for k in spec if k not in fields)
-            if bad:
-                raise ConfigError(f"unknown field(s): {bad}")
-            for key, value in spec.items():
-                _check_type(f"dataset.bias[{i}].{key}", value, fields[key].type)
-            try:
-                BiasSpec(**spec)
-            except (TypeError, ValueError) as e:
-                raise ConfigError(f"dataset.bias[{i}]: {e}") from e
+            _build(f"dataset.bias[{i}].", spec, BiasSpec)
 
 
 @dataclass
 class TestSetConfig:
     n_per_class: int = 100
     seed: int = 1
-
-    def validate(self):
-        if self.n_per_class < 1:
-            raise ConfigError("test.n_per_class must be >= 1")
-        _check_seed("test.seed", self.seed)
 
 
 @dataclass
@@ -73,10 +55,6 @@ class ModelConfig:
     H: int = 100
 
     def validate(self):
-        if self.K < 1:
-            raise ConfigError("model.K must be >= 1")
-        if self.H < 1:
-            raise ConfigError("model.H must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ConfigError("model.hidden entries must be >= 1")
 
@@ -104,16 +82,6 @@ class TrainConfig:
             raise ConfigError("train.variant=mwnet requires model.K=1")
         if self.variant == "meta-test" and not self.checkpoint:
             raise ConfigError("train.variant=meta-test requires train.checkpoint")
-        if self.batch_size < 1:
-            raise ConfigError("train.batch_size must be >= 1")
-        if self.meta_per_class < 1:
-            raise ConfigError("train.meta_per_class must be >= 1")
-        # a negative rate or decay would ascend the loss; zero stays valid
-        for name in ("epochs", "lr", "theta_lr", "weight_decay",
-                     "theta_weight_decay", "warmup_epochs"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ConfigError(f"train.{name} must be >= 0, got {value}")
         if self.schedule.get("kind") not in ("piecewise", "decay"):
             raise ConfigError("train.schedule.kind must be 'piecewise' or 'decay'")
         bad = sorted(f"train.schedule.{k}" for k in self.schedule if k != "kind")
@@ -137,14 +105,18 @@ def _type_ok(value, annotation: str) -> bool:
         annotation == "bool" or not isinstance(value, bool))
 
 
-def _check_type(name: str, value, annotation: str) -> None:
-    if not _type_ok(value, annotation):
-        raise ConfigError(f"{name} must be of type {annotation}, got {value!r}")
-
-
-def _check_seed(name: str, seed: int) -> None:
-    if seed < 0:
-        raise ConfigError(f"{name} must be >= 0, got {seed}")
+# The least value of each bounded field. A negative rate or decay would
+# ascend the loss, so those bounds are 0.
+_LOWER_BOUNDS = {
+    "seed": 0,
+    "dataset.C": 2, "dataset.n_per_class": 1, "dataset.seed": 0,
+    "test.n_per_class": 1, "test.seed": 0,
+    "model.K": 1, "model.H": 1,
+    "train.epochs": 0, "train.batch_size": 1, "train.lr": 0,
+    "train.weight_decay": 0, "train.theta_lr": 0,
+    "train.theta_weight_decay": 0, "train.warmup_epochs": 0,
+    "train.meta_per_class": 1,
+}
 
 
 @dataclass
@@ -156,9 +128,11 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
-        _check_seed("seed", self.seed)
+        for path, bound in _LOWER_BOUNDS.items():
+            value = functools.reduce(getattr, path.split("."), self)
+            if value < bound:
+                raise ConfigError(f"{path} must be >= {bound}, got {value}")
         self.dataset.validate()
-        self.test.validate()
         self.model.validate()
         self.train.validate(self.model)
 
@@ -166,34 +140,37 @@ class ExperimentConfig:
         return asdict(self)
 
 
-_SECTIONS = {"dataset": DatasetConfig, "test": TestSetConfig,
-             "model": ModelConfig, "train": TrainConfig}
+_SECTIONS = {cls.__name__: cls for cls in
+             (DatasetConfig, TestSetConfig, ModelConfig, TrainConfig)}
+def _build(path: str, data, cls):
+    """`cls` built from a YAML mapping whose every key is a field of `cls`
+    and whose every value fits that field's annotation; a section field is
+    built in turn. `path` ('', 'train.', 'dataset.bias[0].') prefixes the
+    field names in errors."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config root'} "
+                          "must be a mapping")
+    fields = cls.__dataclass_fields__
+    bad = sorted(path + key for key in data if key not in fields)
+    if bad:
+        raise ConfigError(f"unknown field(s): {bad}")
+    kwargs = {}
+    for key, value in data.items():
+        annotation = fields[key].type
+        if annotation in _SECTIONS:
+            value = _build(f"{path}{key}.", value, _SECTIONS[annotation])
+        elif not _type_ok(value, annotation):
+            raise ConfigError(f"{path}{key} must be of type {annotation}, "
+                              f"got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path.rstrip('.')}: {e}") from e
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    known = set(_SECTIONS) | {"seed"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = data.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
-        valid = {f for f in cls.__dataclass_fields__}
-        bad = set(section) - valid
-        if bad:
-            raise ConfigError(
-                f"unknown field(s): {sorted(f'{name}.{k}' for k in bad)}")
-        for key, value in section.items():
-            _check_type(f"{name}.{key}", value,
-                        cls.__dataclass_fields__[key].type)
-        kwargs[name] = cls(**section)
-    seed = data.get("seed", 0)
-    _check_type("seed", seed, "int")
-    cfg = ExperimentConfig(seed=seed, **kwargs)
+    cfg = _build("", data, ExperimentConfig)
     cfg.validate()
     return cfg
 

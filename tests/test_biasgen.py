@@ -350,6 +350,18 @@ class TestBiasSpec:
         with pytest.raises(ValueError):
             BiasSpec(kind="longtail", imbalance_factor=0.2)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "longtail", "level": 0.5},
+        {"kind": "symmetric", "imbalance_factor": 10.0},
+        {"kind": "pmd2", "level": 0.3, "imbalance_factor": 2.0},
+    ])
+    def test_field_the_kind_does_not_read_rejected(self, spec):
+        ignored = "level" if spec["kind"] == "longtail" else "imbalance_factor"
+        with pytest.raises(ValueError, match=f"does not read {ignored}"):
+            BiasSpec(**spec)
+        # its default, written out, is accepted
+        BiasSpec(**{**spec, ignored: getattr(BiasSpec, ignored)})
+
 
 class TestDatasetFiles:
     def test_binary_round_trip(self, tmp_path):

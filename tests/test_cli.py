@@ -269,6 +269,12 @@ class TestExitCodes:
         ({"dataset": {"bias": [{"kind": "pmd1", "level": 0.3,
                                 "extra": "symmetric"}]}},
          "dataset.bias[0].extra"),
+        # a field its kind does not read would leave the data unbiased
+        ({"dataset": {"bias": [{"kind": "longtail", "level": 0.5}]}},
+         "dataset.bias[0]"),
+        ({"dataset": {"bias": [{"kind": "symmetric",
+                                "imbalance_factor": 10.0}]}},
+         "dataset.bias[0]"),
     ])
     def test_config_type_error_outside_train(self, tmp_path, capsys,
                                              overrides, field):

@@ -1,11 +1,24 @@
 """Config parsing, validation, and round-trip identity."""
 
+import re
+
 import pytest
 import yaml
 
 from cmwnet.config import (ConfigError, ExperimentConfig, build_test_dataset,
                            build_train_dataset, config_from_dict, load_config,
                            save_config)
+
+# (field path, least value it may take); a negative rate or decay would
+# ascend the loss, so those bounds are 0
+LOWER_BOUNDS = [
+    ("train.epochs", 0), ("train.lr", 0), ("train.theta_lr", 0),
+    ("train.weight_decay", 0), ("train.theta_weight_decay", 0),
+    ("train.warmup_epochs", 0), ("train.batch_size", 1),
+    ("train.meta_per_class", 1), ("seed", 0), ("dataset.C", 2),
+    ("dataset.n_per_class", 1), ("dataset.seed", 0), ("test.n_per_class", 1),
+    ("test.seed", 0), ("model.K", 1), ("model.H", 1),
+]
 
 
 class TestValidation:
@@ -41,13 +54,19 @@ class TestValidation:
             config_from_dict({"dataset": {"bias": [{"kind": "nope"}]}})
         assert "bias" in str(exc.value)
 
-    @pytest.mark.parametrize("name", ["epochs", "lr", "theta_lr",
-                                      "weight_decay", "theta_weight_decay",
-                                      "warmup_epochs"])
-    def test_negative_count_or_rate_rejected(self, name):
-        with pytest.raises(ConfigError, match=f"train.{name} must be >= 0"):
-            config_from_dict({"train": {name: -1}})
-        config_from_dict({"train": {name: 0}})
+    @pytest.mark.parametrize(
+        "path, bound", LOWER_BOUNDS,
+        ids=[path.removeprefix("train.") for path, _ in LOWER_BOUNDS])
+    def test_negative_count_or_rate_rejected(self, path, bound):
+        *section, name = path.split(".")
+
+        def config(value):
+            return {section[0]: {name: value}} if section else {name: value}
+
+        message = f"{path} must be >= {bound}, got {bound - 1}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(config(bound - 1))
+        config_from_dict(config(bound))
 
     def test_bad_schedule(self):
         with pytest.raises(ConfigError):
