@@ -24,9 +24,8 @@ import numpy as np
 from . import metrics
 from .biasgen import Dataset
 from .config import ConfigError
-from .models import Classifier, WeightNet, layer_views
-from .numkit import (Adam, SgdMomentum, flatten, onehot, softmax,
-                     spawn_rngs, xent)
+from .models import Classifier, WeightNet, layer_views, summed_grad
+from .numkit import Adam, SgdMomentum, onehot, softmax, spawn_rngs, xent
 from .taskfam import FamilyIndex, kmeans_1d, n_distinct
 
 MOMENTUM = 0.9               # the classifier's SGD momentum
@@ -110,8 +109,7 @@ def _step_grads(f: StepFactors, v: np.ndarray, where: str) -> np.ndarray:
     FloatingPointError naming `where` if it is not finite."""
     s = v.sum()
     w = v / s if f.normalize and s != 0.0 else v
-    grad = flatten([a.T @ (w[:, None] * d) for a, d in zip(f.acts, f.deltas)]
-                   + [w @ d for d in f.deltas])
+    grad = summed_grad(f.acts, f.deltas, w)
     if f.fixed is not None:
         grad += f.fixed
     if not np.all(np.isfinite(grad)):
@@ -128,8 +126,10 @@ def _factors(clf: Classifier, x: np.ndarray, targets: np.ndarray,
 
 def _virtual(clf: Classifier, wnet: WeightNet, f: StepFactors, alpha: float):
     v, dv = wnet.weight_and_grad(f.losses, f.fams)
-    grad = _step_grads(f, v, "virtual step")
-    clf_hat = Classifier(clf.sizes, clf.flat - alpha * grad)
+    w_hat = _step_grads(f, v, "virtual step")
+    w_hat *= -alpha      # w - alpha * grad, in the gradient's own buffer
+    w_hat += clf.flat
+    clf_hat = Classifier(clf.sizes, w_hat)
     return clf_hat, VirtualStepCache(f, v, dv, alpha, wnet, wnet.get_flat())
 
 
@@ -213,7 +213,8 @@ def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
 
 def ema_update(w_wa: Classifier, clf: Classifier) -> None:
     """w_wa <- BETA_WA * w_wa + (1 - BETA_WA) * w, in place."""
-    w_wa.flat[...] = BETA_WA * w_wa.flat + (1.0 - BETA_WA) * clf.flat
+    w_wa.flat *= BETA_WA
+    w_wa.flat += (1.0 - BETA_WA) * clf.flat
 
 
 def temporal_ensemble(z_rows: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
@@ -243,8 +244,7 @@ def _sl_factors(clf: Classifier, x_mix: np.ndarray, y_a: np.ndarray,
     p = softmax(acts[-1])
     fixed_deltas = clf.backward(
         acts, (lam * (p - z_a) + (1.0 - lam) * (p - z_b)) / n)
-    fixed = flatten([a.T @ d for a, d in zip(acts, fixed_deltas)]
-                    + [d.sum(axis=0) for d in fixed_deltas])
+    fixed = summed_grad(acts, fixed_deltas)
     rows = np.concatenate([lam * (z_a - t_a), (1.0 - lam) * (z_b - t_b)]) / n
     doubled = [np.concatenate([a, a]) for a in acts[:-1]]
     return StepFactors(doubled, clf.backward(doubled, rows),
@@ -282,11 +282,14 @@ class TrainState:
     w_wa: Classifier | None = None
     z: np.ndarray | None = None
     t: int = 0
-    history: list[dict] = field(default_factory=list)
     final_report: dict = field(default_factory=dict)
     logger: MetricLogger | None = None
     test_report: metrics.MetricsReport | None = None  # at the final classifier
     train_losses: np.ndarray | None = None  # final, if weighted
+
+    @property
+    def history(self) -> list[dict]:  # the metric rows, built on access
+        return list(self.logger.rows()) if self.logger is not None else []
 
 
 def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
@@ -304,38 +307,31 @@ def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
 
 
 class MetricLogger:
-    """Per-iteration metric rows; identical runs produce identical rows."""
+    """Per-iteration metric rows in one float64 table; unlogged cells: nan."""
 
-    COLUMNS = ["iteration", "epoch", "train_loss", "meta_loss", "test_acc",
-               "hypergrad_norm"]
-
-    def __init__(self, K: int):
-        self.K = K
-        self.rows: list[dict] = []
-
-    @property
-    def columns(self) -> list[str]:
-        cols = list(self.COLUMNS)
-        tail = cols.pop()  # family columns sit before hypergrad_norm
-        cols += [f"family_weight_{k}" for k in range(self.K)] + [tail]
-        return cols
+    def __init__(self, K: int, size: int):
+        self.columns = (["iteration", "epoch", "train_loss", "meta_loss",
+                         "test_acc"] + [f"family_weight_{k}" for k in range(K)]
+                        + ["hypergrad_norm"])
+        self.table = np.empty((size, len(self.columns)))
+        self.n = 0
 
     def log(self, **kw):
-        self.rows.append(kw)
+        self.table[self.n] = [kw.get(c, np.nan) for c in self.columns]
+        self.n += 1
+
+    def rows(self):
+        """Each logged row as a dict; iteration and epoch are ints."""
+        for row in self.table[:self.n]:
+            it, epoch, *rest = row.tolist()
+            yield dict(zip(self.columns, [int(it), int(epoch)] + rest))
 
     def write_csv(self, path) -> None:
-        cols = self.columns
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in self.rows:
-                cells = []
-                for c in cols:
-                    v = row.get(c, float("nan"))
-                    if isinstance(v, (int, np.integer)):
-                        cells.append(str(int(v)))
-                    else:
-                        cells.append(f"{float(v):.10g}")
-                fh.write(",".join(cells) + "\n")
+            fh.write(",".join(self.columns) + "\n")
+            for row in self.rows():
+                fh.write(",".join(str(v) if isinstance(v, int) else
+                                  f"{v:.10g}" for v in row.values()) + "\n")
 
 
 def _family_means(v: np.ndarray, fams: np.ndarray, K: int) -> dict:
@@ -415,10 +411,10 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     fams_all = None
     if state.fam is not None:
         fams_all = state.fam.class_to_family[ds.observed_labels]
-    state.logger = MetricLogger(K=K)
     n = ds.n
     batch = min(tc.batch_size, n)
     iters_per_epoch = int(np.ceil(n / batch))
+    state.logger = MetricLogger(K, tc.epochs * iters_per_epoch)
     test_acc = float("nan")
     if test_ds is not None:
         state.test_report = metrics.evaluate(clf, test_ds)
@@ -439,7 +435,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
             meta_loss = hg_norm = float("nan")
             if not weighted:
                 train_loss = erm_update(clf, state.clf_opt, x, y, alpha)
-                fam_w = {f"family_weight_{k}": float("nan") for k in range(K)}
+                fam_w = {}  # the family cells read nan
             else:
                 fams = fams_all[idx]
                 if state.theta_opt is None:
@@ -476,7 +472,6 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
             state.test_report = metrics.evaluate(clf, test_ds)
             test_acc = state.test_report.accuracy
 
-    state.history = state.logger.rows
     state.final_report = {"test_acc": float(test_acc), "iterations": state.t}
     if wnet is not None:
         state.train_losses = clf.losses(ds.features, ds.observed_labels)

@@ -47,6 +47,21 @@ def layer_views(sizes: list[int], flat: np.ndarray):
     return arrays[:len(pairs)], arrays[len(pairs):]
 
 
+def summed_grad(acts, deltas, w=None) -> np.ndarray:
+    """Sum over rows j of w_j (1 if w is None) times outer(acts[l][j],
+    deltas[l][j]) for W_l and deltas[l][j] for b_l, laid out like
+    Classifier.flat: each layer's product is written into its own slot."""
+    sizes = [acts[0].shape[1]] + [d.shape[1] for d in deltas]
+    grad = np.empty(sum((i + 1) * o for i, o in zip(sizes, sizes[1:])))
+    for a, d, gw, gb in zip(acts, deltas, *layer_views(sizes, grad)):
+        np.matmul(a.T, d if w is None else w[:, None] * d, out=gw)
+        if w is None:
+            d.sum(axis=0, out=gb)
+        else:
+            np.matmul(w, d, out=gb)
+    return grad
+
+
 class Classifier:
     """MLP over float64 arrays. Its parameters are one vector, self.flat;
     self.weights and self.biases are views into it."""
@@ -115,8 +130,7 @@ class Classifier:
         loss, dlogits = xent(acts[-1], targets)
         dlogits /= x.shape[0]
         deltas = self.backward(acts, dlogits)
-        return loss.mean(), flatten([a.T @ d for a, d in zip(acts, deltas)]
-                                    + [d.sum(axis=0) for d in deltas])
+        return loss.mean(), summed_grad(acts, deltas)
 
     def factors(self, x: np.ndarray, targets: np.ndarray):
         """(per-sample losses [n], layer inputs, layer deltas) of one forward

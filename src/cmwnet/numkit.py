@@ -74,9 +74,14 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _decayed(p: np.ndarray, g: np.ndarray, weight_decay: float) -> np.ndarray:
+    """g + weight_decay * p in one new array; g itself without decay."""
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {g.shape}")
-    return g + weight_decay * p if weight_decay else g
+    if not weight_decay:
+        return g
+    d = np.multiply(weight_decay, p)
+    d += g
+    return d
 
 
 class SgdMomentum:
@@ -94,7 +99,8 @@ class SgdMomentum:
             self.buffer = np.zeros_like(p)
         self.buffer *= self.momentum
         self.buffer += d
-        p -= self.lr * self.buffer
+        # one temporary: the decayed gradient's, reused for lr * buffer
+        p -= np.multiply(self.lr, self.buffer, out=None if d is g else d)
 
 
 class Adam:
@@ -169,13 +175,13 @@ def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(arrays)))
         for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f8")  # tobytes() is C order
+            arr = np.asarray(arr, dtype="<f8", order="C")
             nb = name.encode()
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr)  # its buffer, in C order, with no copy
 
 
 def read_arrays(path) -> dict[str, np.ndarray]:

@@ -1,5 +1,6 @@
 """Bi-level training engine: virtual step, analytic meta-gradient, variants."""
 
+import tracemalloc
 import warnings
 import weakref
 
@@ -119,6 +120,72 @@ class TestVirtualStepOracle:
         with pytest.raises(FloatingPointError, match="virtual step"), \
                 np.errstate(invalid="ignore"):
             metaloop._virtual(clf, tiny_weightnet(rng), f, 0.1)
+
+
+def joined_step(f, v):
+    """The weighted step of f as per-layer products joined by one copy."""
+    s = v.sum()
+    w = v / s if f.normalize and s != 0.0 else v
+    grad = numkit.flatten([a.T @ (w[:, None] * d)
+                           for a, d in zip(f.acts, f.deltas)]
+                          + [w @ d for d in f.deltas])
+    return grad if f.fixed is None else grad + f.fixed
+
+
+class TestInPlaceStepWriters:
+    """The step's gradient is written layer by layer into one vector, and
+    w_hat and the EMA blend are formed in place; each equals its
+    out-of-place expression bit for bit."""
+
+    SIZES = [[8, 128, 128, 10], [3, 8, 4]]
+
+    @staticmethod
+    def case(sizes, n=100):
+        rng = np.random.default_rng(sizes[0])
+        clf = Classifier.init(sizes, rng)
+        wnet = WeightNet.init(3, rng, hidden=10)
+        x, y = random_batch(rng, n, sizes[0], sizes[-1])
+        return rng, clf, wnet, x, y, rng.integers(0, 3, size=n)
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_step_equals_joined_products(self, sizes, normalize):
+        _, clf, wnet, x, y, fams = self.case(sizes)
+        f = metaloop._factors(clf, x, y, fams, normalize)
+        v = wnet.weight(f.losses, f.fams)
+        assert np.array_equal(metaloop._step_grads(f, v, "step"),
+                              joined_step(f, v))
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_soft_label_fixed_part_equals_joined_products(self, sizes):
+        rng, clf, wnet, x, y, fams = self.case(sizes)
+        n, C, lam = x.shape[0], sizes[-1], 0.7
+        z = rng.dirichlet(np.ones(C), size=n)
+        perm = rng.permutation(n)
+        f = metaloop._sl_factors(clf, x, y, z, y[perm], z[perm], fams,
+                                 fams[perm], lam)
+        acts = clf.forward_cached(x)
+        p = numkit.softmax(acts[-1])
+        deltas = clf.backward(
+            acts, (lam * (p - z) + (1.0 - lam) * (p - z[perm])) / n)
+        assert np.array_equal(f.fixed, numkit.flatten(
+            [a.T @ d for a, d in zip(acts, deltas)]
+            + [d.sum(axis=0) for d in deltas]))
+        v = wnet.weight(f.losses, f.fams)
+        assert np.array_equal(metaloop._step_grads(f, v, "step"),
+                              joined_step(f, v))
+
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_w_hat_and_ema_equal_out_of_place(self, sizes):
+        rng, clf, wnet, x, y, fams = self.case(sizes)
+        f = metaloop._factors(clf, x, y, fams, True)
+        clf_hat, cache = metaloop._virtual(clf, wnet, f, 0.1)
+        assert np.array_equal(clf_hat.flat,
+                              clf.flat - 0.1 * joined_step(f, cache.v))
+        w_wa = Classifier.init(sizes, rng)
+        want = BETA_WA * w_wa.flat + (1.0 - BETA_WA) * clf.flat
+        ema_update(w_wa, clf)
+        assert np.array_equal(w_wa.flat, want)
 
 
 class TestHypergrad:
@@ -468,6 +535,50 @@ class TestMetaSet:
         assert np.all(targets >= 0)
 
 
+class TestMetricLogger:
+    def test_csv_text(self, tmp_path):
+        # ints for iteration and epoch, .10g for every other cell, nan for
+        # a cell never logged; only the logged rows of the table
+        nan = float("nan")
+        lg = metaloop.MetricLogger(2, 3)
+        lg.log(iteration=0, epoch=0, train_loss=1.5, meta_loss=nan,
+               test_acc=0.25, hypergrad_norm=nan)
+        lg.log(iteration=1, epoch=1, train_loss=2 / 3, meta_loss=1e-12,
+               test_acc=0.5, hypergrad_norm=12345678901.5,
+               family_weight_0=0.1, family_weight_1=nan)
+        lg.write_csv(tmp_path / "metrics.csv")
+        assert (tmp_path / "metrics.csv").read_text() == (
+            "iteration,epoch,train_loss,meta_loss,test_acc,family_weight_0,"
+            "family_weight_1,hypergrad_norm\n"
+            "0,0,1.5,nan,0.25,nan,nan,nan\n"
+            "1,1,0.6666666667,1e-12,0.5,0.1,nan,1.23456789e+10\n")
+
+    def test_erm_csv_has_no_family_columns(self, tmp_path):
+        lg = metaloop.MetricLogger(0, 1)
+        lg.log(iteration=7, epoch=2, train_loss=0.125, meta_loss=float("nan"),
+               test_acc=1.0, hypergrad_norm=float("nan"))
+        lg.write_csv(tmp_path / "metrics.csv")
+        assert (tmp_path / "metrics.csv").read_text() == (
+            "iteration,epoch,train_loss,meta_loss,test_acc,hypergrad_norm\n"
+            "7,2,0.125,nan,1,nan\n")
+
+    def test_logging_holds_only_the_table(self):
+        # about a sym_meta run's row count; a dict of floats per row held
+        # about 0.3 MB
+        tracemalloc.start()
+        try:
+            lg = metaloop.MetricLogger(3, 600)
+            for t in range(600):
+                lg.log(iteration=t, epoch=t // 10, train_loss=t * 1e-3,
+                       meta_loss=0.5, test_acc=0.75, hypergrad_norm=t * 0.1,
+                       family_weight_0=0.1, family_weight_1=0.2,
+                       family_weight_2=0.3)
+            grown = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert grown <= lg.table.nbytes + 4096
+
+
 class TestSoftLabelPieces:
     def test_ema_is_beta_wa_blend(self, rng):
         a = tiny_classifier(rng)
@@ -634,6 +745,38 @@ class TestMetaTrain:
             assert ra.keys() == rb.keys()
             for k in ra:
                 np.testing.assert_equal(ra[k], rb[k])  # nan == nan here
+
+    def test_history_rows_have_the_logged_keys(self):
+        # rows are built from the metric table: every column, iteration and
+        # epoch as ints, nan family cells in the warmup epoch
+        cfg = desk_cfg(epochs=2)
+        state = meta_train(build_train_dataset(cfg), cfg, seed=0)
+        keys = (["iteration", "epoch", "train_loss", "meta_loss", "test_acc"]
+                + [f"family_weight_{k}" for k in range(state.fam.K)]
+                + ["hypergrad_norm"])
+        assert state.logger.columns == keys
+        history = state.history
+        assert [list(r) for r in history] == [keys] * state.t
+        assert [r["iteration"] for r in history] == list(range(state.t))
+        assert all(type(r["iteration"]) is int and type(r["epoch"]) is int
+                   for r in history)
+        assert np.isnan(history[0]["family_weight_0"])
+        assert not np.isnan(history[-1]["family_weight_0"])
+        erm = meta_train(build_train_dataset(cfg), desk_cfg("erm", epochs=0))
+        assert erm.history == []
+
+    def test_logs_once_per_iteration(self, monkeypatch):
+        calls = []
+        log = metaloop.MetricLogger.log
+
+        def counted(self, **kw):
+            calls.append(kw["iteration"])
+            return log(self, **kw)
+
+        monkeypatch.setattr(metaloop.MetricLogger, "log", counted)
+        cfg = desk_cfg(epochs=3)
+        state = meta_train(build_train_dataset(cfg), cfg, seed=0)
+        assert state.t == 12 and calls == list(range(state.t))
 
     def test_seed_changes_trajectory(self):
         cfg = desk_cfg(epochs=3)

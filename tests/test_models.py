@@ -129,6 +129,51 @@ class TestOneArrayPerLayer:
         assert np.all(got[0][1] == 0.0) and np.all(got[1][1] == 0.0)
 
 
+def joined_grad(acts, deltas):
+    """The unweighted gradient as per-layer products joined by one copy."""
+    return numkit.flatten([a.T @ d for a, d in zip(acts, deltas)]
+                          + [d.sum(axis=0) for d in deltas])
+
+
+class TestMeanGradInPlace:
+    """mean_grad writes each layer's product straight into its slot of one
+    vector: no per-layer list and no joining copy."""
+
+    @staticmethod
+    def passes(clf, x, y):
+        """mean_grad's forward and backward pass, without the gradient."""
+        acts = clf.forward_cached(x)
+        loss, dlogits = numkit.xent(acts[-1], y)
+        dlogits /= x.shape[0]
+        return loss, acts, clf.backward(acts, dlogits)
+
+    @pytest.mark.parametrize("sizes", [[8, 128, 128, 10], [3, 8, 4]])
+    def test_equals_joined_products(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        clf = Classifier.init(sizes, rng)
+        x, y = random_batch(rng, 100, sizes[0], sizes[-1])
+        loss, grad = clf.mean_grad(x, y)
+        want_loss, acts, deltas = self.passes(clf, x, y)
+        assert loss == want_loss.mean()
+        assert np.array_equal(grad, joined_grad(acts, deltas))
+
+    def test_holds_one_gradient_vector(self):
+        # beyond the pass's own arrays, mean_grad holds only the P-sized
+        # vector it returns; a per-layer list joined by a copy holds two
+        rng = np.random.default_rng(0)
+        clf = Classifier.init([8, 128, 128, 10], rng)
+        x, y = random_batch(rng, 100, 8, 10)
+        peaks = []
+        for fn in (self.passes, Classifier.mean_grad) * 2:
+            tracemalloc.start()
+            try:
+                fn(clf, x, y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= peaks[2] + clf.flat.nbytes + 16_384
+
+
 class TestClassifierGradients:
     def test_mean_grad_matches_finite_difference(self, rng):
         clf = tiny_classifier(rng)
@@ -572,6 +617,19 @@ class TestCheckpoint:
             assert back[k].shape == arrays[k].shape, k
             np.testing.assert_array_equal(back[k],
                                           np.asarray(arrays[k], dtype="<f8"))
+
+    def test_array_file_bytes(self, tmp_path):
+        # magic, version 2, three arrays; each its name, ndim, shape and
+        # float64 data in C order: a 0-d array, int labels, a transpose
+        path = tmp_path / "arrays.bin"
+        write_arrays(path, {"s": np.array(2.5), "labels": np.array([2, 0, 1]),
+                            "m": np.array([[1.0, 2.0], [3.0, 4.0]]).T})
+        assert path.read_bytes() == bytes.fromhex(
+            "434d574302000000030000000100000073000000000000000000000440060000"
+            "006c6162656c7301000000030000000000000000000000000000400000000000"
+            "000000000000000000f03f010000006d02000000020000000000000002000000"
+            "00000000000000000000f03f0000000000000840000000000000004000000000"
+            "00001040")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, tmp_path, bad):

@@ -1,5 +1,7 @@
 """Numeric primitives: activations, losses, optimizers, finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,45 @@ class TestOptimizers:
             for (p, o), g in zip(parts, gs):
                 o.step(p, g)
         assert np.array_equal(flat, numkit.flatten([p for p, _ in parts]))
+
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_sgd_equals_out_of_place_update(self, rng, wd):
+        # the in-place step rounds exactly like the expression, and never
+        # writes the gradient it is given
+        p = rng.normal(size=50)
+        want, buf = p.copy(), np.zeros(50)
+        opt = numkit.SgdMomentum(0.1, momentum=0.9, weight_decay=wd)
+        for _ in range(4):
+            g = rng.normal(size=50)
+            g_in = g.copy()
+            opt.step(p, g)
+            buf = 0.9 * buf + (g + wd * want if wd else g)
+            want = want - 0.1 * buf
+            assert np.array_equal(p, want)
+            assert np.array_equal(g, g_in)
+
+    def test_adam_leaves_gradient_unwritten(self, rng):
+        # training logs the hypergradient's norm after its Adam step
+        p, g = rng.normal(size=20), rng.normal(size=20)
+        g_in = g.copy()
+        numkit.Adam(0.05, weight_decay=0.01).step(p, g)
+        assert np.array_equal(g, g_in)
+
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_sgd_step_holds_one_temporary(self, rng, wd):
+        # g + wd * p is formed in one new array, which then takes
+        # lr * buffer; fresh arrays for wd * p, the sum and lr * buffer
+        # hold two at once
+        p, g = rng.normal(size=100_000), rng.normal(size=100_000)
+        opt = numkit.SgdMomentum(0.1, momentum=0.9, weight_decay=wd)
+        opt.step(p, g)                  # allocates the momentum buffer
+        tracemalloc.start()
+        try:
+            opt.step(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.nbytes + 4096
 
     def test_shape_mismatch_raises(self):
         for opt in (numkit.SgdMomentum(0.1), numkit.Adam(0.1)):
