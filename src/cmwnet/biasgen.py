@@ -10,14 +10,14 @@ and hidden clean labels are preserved.
 
 from __future__ import annotations
 
-import csv
 import functools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import CorruptArtifact, array_shape, read_arrays, write_arrays
+from .numkit import (CorruptArtifact, array_shape, read_arrays, write_arrays,
+                     write_csv)
 
 
 @dataclass
@@ -331,9 +331,6 @@ def load_dataset(path) -> Dataset:
 
 def export_csv(path, ds: Dataset) -> None:
     """One row per sample: features..., observed, clean."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(ds.d)] + ["observed", "clean"])
-        for i in range(ds.n):
-            writer.writerow([f"{v:.17g}" for v in ds.features[i]]
-                            + [int(ds.observed_labels[i]), int(ds.clean_labels[i])])
+    write_csv(path, [f"x{i}" for i in range(ds.d)] + ["observed", "clean"],
+              np.c_[ds.features, ds.observed_labels, ds.clean_labels],
+              ["%.17g"] * ds.d + ["%d", "%d"])

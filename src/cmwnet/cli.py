@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 from . import biasgen, metaloop, metrics, models
 from .config import (ConfigError, ExperimentConfig, build_test_dataset,
                      build_train_dataset, load_config, save_config)
-from .numkit import CorruptArtifact
+from .numkit import CorruptArtifact, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,10 +151,7 @@ def compare(dir_a, dir_b, out_path=None):
         a["per_class_accuracy"][c] - b["per_class_accuracy"][c]
         for c in range(C)]
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerow([f"{v:.10g}" for v in row])
+        write_csv(out_path, header, [row], "%.10g")
     return header, row
 
 

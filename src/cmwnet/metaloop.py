@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics
+from . import metrics, numkit
 from .biasgen import Dataset
 from .config import ConfigError
 from .models import Classifier, WeightNet, layer_views, summed_grad
@@ -326,12 +326,9 @@ class MetricLogger:
             it, epoch, *rest = row.tolist()
             yield dict(zip(self.columns, [int(it), int(epoch)] + rest))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows():
-                fh.write(",".join(str(v) if isinstance(v, int) else
-                                  f"{v:.10g}" for v in row.values()) + "\n")
+    def write_csv(self, path) -> None:  # \n line ends, unlike figure tables
+        fmt = ["%d", "%d"] + ["%.10g"] * (len(self.columns) - 2)
+        numkit.write_csv(path, self.columns, self.table[:self.n], fmt, "\n")
 
 
 def _family_means(v: np.ndarray, fams: np.ndarray, K: int) -> dict:

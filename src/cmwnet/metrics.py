@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .biasgen import Dataset
 from .models import Classifier, WeightNet
+from .numkit import write_csv
 
 # the losses at which weight_curve.csv samples every head
 LOSS_GRID = np.linspace(0.0, 10.0, 101)
@@ -72,30 +72,18 @@ def loss_histogram(ds: Dataset, losses: np.ndarray):
 
 
 def write_weight_curve_csv(path, wnet: WeightNet) -> None:
-    table = weight_curve(wnet, LOSS_GRID)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["loss"] + [f"family_{k}" for k in range(wnet.K)])
-        for j, ell in enumerate(LOSS_GRID):
-            writer.writerow([f"{ell:.10g}"] +
-                            [f"{table[k, j]:.10g}" for k in range(wnet.K)])
+    write_csv(path, ["loss"] + [f"family_{k}" for k in range(wnet.K)],
+              np.c_[LOSS_GRID, weight_curve(wnet, LOSS_GRID).T], "%.10g")
 
 
 def write_histogram_csv(path, ds: Dataset, losses: np.ndarray) -> None:
-    edges, clean_counts, noisy_counts = loss_histogram(ds, losses)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "bin_lo", "bin_hi", "clean_count", "noisy_count"])
-        for c in range(ds.C):
-            for b in range(len(edges) - 1):
-                writer.writerow([c, f"{edges[b]:.10g}", f"{edges[b + 1]:.10g}",
-                                 int(clean_counts[c, b]), int(noisy_counts[c, b])])
+    edges, clean, noisy = loss_histogram(ds, losses)
+    bins = np.tile(np.c_[edges[:-1], edges[1:]], (ds.C, 1))  # class-major
+    write_csv(path, ["class", "bin_lo", "bin_hi", "clean_count", "noisy_count"],
+              np.c_[np.arange(ds.C).repeat(HIST_BINS), bins, clean.ravel(),
+                    noisy.ravel()], "%d,%.10g,%.10g,%d,%d")
 
 
 def write_confusion_csv(path, report: MetricsReport) -> None:
-    C = report.confusion.shape[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"pred_{c}" for c in range(C)])
-        for row in report.confusion:
-            writer.writerow([int(v) for v in row])
+    write_csv(path, [f"pred_{c}" for c in range(report.confusion.shape[0])],
+              report.confusion, "%d")

@@ -3,9 +3,10 @@
 The logistic function and one softmax cross-entropy (int labels become
 one-hot target rows) with hand-derived gradients, first-order optimizers,
 seeded RNG construction, the named-float64-array file that holds every
-binary artifact (and the error for a corrupt one), and the central
-finite-difference oracle used by the test suite. No autodiff anywhere:
-every backward pass in this package is written out explicitly.
+binary artifact (and the error for a corrupt one), the writer of every CSV
+table, and the central finite-difference oracle used by the test suite. No
+autodiff anywhere: every backward pass in this package is written out
+explicitly.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class Adam:
 
 
 # ---------------------------------------------------------------------------
-# parameter views, the array file and the finite-difference oracle
+# parameter views, the array file, CSV tables and the finite-difference oracle
 
 
 def flatten(arrays: list[np.ndarray]) -> np.ndarray:
@@ -221,6 +222,12 @@ def array_shape(path, arrays: dict, name: str, want: tuple) -> tuple:
         raise CorruptArtifact(f"{path}: array {name} {found}, "
                               f"expected shape {want}")
     return got
+
+
+def write_csv(path, header: list[str], table, fmt, newline="\r\n") -> None:
+    """Comma-separated: the header names, then each row of `table` in `fmt`."""
+    with open(path, "w", newline="") as fh:
+        np.savetxt(fh, table, fmt, ",", newline, ",".join(header), comments="")
 
 
 def finite_diff_grad(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

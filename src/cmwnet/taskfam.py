@@ -59,19 +59,22 @@ def kmeans_1d(counts, K: int, restarts: int = 10,
             f"only {distinct} distinct class sizes; reducing K from {K}")
         K = distinct
     n = xs.size
+    s1, s2 = (np.concatenate(([0.0], np.cumsum(v))) for v in (xs, xs * xs))
 
-    def sse(a, b):                      # WCSS of the segment xs[a:b]
-        return float(((xs[a:b] - xs[a:b].mean()) ** 2).sum())
+    def sse(i, j):        # WCSS of the segments xs[i:j], from prefix sums
+        return s2[j] - s2[i] - (s1[j] - s1[i]) ** 2 / (j - i)
 
-    # best[j]: (WCSS, segment starts) of the best split of xs[:j] into k
-    # segments, for k = 1, 2, ..., K in turn
-    best = [(np.inf, [])] + [(sse(0, j), [0]) for j in range(1, n + 1)]
+    # cost[j], starts[j]: least WCSS and segment starts of a split of xs[:j]
+    # into k segments, for k = 1, 2, ..., K in turn
+    cost = np.concatenate(([np.inf], sse(0, np.arange(1, n + 1))))
+    starts = [[0]] * (n + 1)
     for k in range(2, K + 1):
-        best = [(np.inf, [])] * k + [
-            min((best[i][0] + sse(i, j), best[i][1] + [i])
-                for i in range(k - 1, j))
-            for j in range(k, n + 1)]
-    bounds = best[n][1] + [n]
+        j = np.arange(k, n + 1)     # the last segment is xs[i:j], i >= k - 1
+        i = np.array([np.argmin(cost[k - 1:t] + sse(np.arange(k - 1, t), t))
+                      for t in j]) + k - 1
+        cost = np.concatenate((np.full(k, np.inf), cost[i] + sse(i, j)))
+        starts = [[]] * k + [starts[a] + [a] for a in i]
+    bounds = starts[n] + [n]
     centers = np.array([xs[a:b].mean() for a, b in zip(bounds, bounds[1:])])
     return FamilyIndex(centers=centers,
                        class_to_family=assign_family(counts, centers))

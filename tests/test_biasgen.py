@@ -395,6 +395,16 @@ class TestDatasetFiles:
         header = lines[0].split(",")
         assert header[-2:] == ["observed", "clean"]
 
+    def test_csv_export_bytes(self, tmp_path):
+        # .17g features (every float64 round-trips), int labels, \r\n ends
+        ds = Dataset(np.array([[0.1, -2.5], [1 / 3, 1e-20]]),
+                     np.array([1, 0]), np.array([1, 1]), 2)
+        export_csv(tmp_path / "data.csv", ds)
+        assert (tmp_path / "data.csv").read_bytes() == (
+            b"x0,x1,observed,clean\r\n"
+            b"0.10000000000000001,-2.5,1,1\r\n"
+            b"0.33333333333333331,9.9999999999999995e-21,0,1\r\n")
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.cmwd"
         path.write_bytes(b"XXXX" + b"\x00" * 32)

@@ -67,8 +67,8 @@ class TestTrain:
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 0})
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "metrics.csv").read_text().strip().splitlines()
-        assert len(lines) == 1  # header only
+        assert (out / "metrics.csv").read_bytes() == (  # header only
+            b"iteration,epoch,train_loss,meta_loss,test_acc,hypergrad_norm\n")
         assert (out / "checkpoint.ckpt").exists()
 
     def test_rerun_byte_identical_metrics(self, tmp_path):
@@ -685,6 +685,20 @@ class TestCompare:
         assert cli.main(["compare", str(out), str(out), "--out", "cmp"]) == 0
         assert (tmp_path / "root" / "cmp" / "compare.csv").stat().st_size > 0
         assert not (tmp_path / "cmp").exists()
+
+    def test_compare_csv_bytes(self, tmp_path):
+        # one .10g row, CR LF line ends; an int accuracy prints as one
+        fp = {"C": 2}
+        for name, acc, per_class in (("a", 1, [1.0, 0.5]),
+                                     ("b", 0.75, [2 / 3, 0.5])):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "report.json").write_text(json.dumps(
+                {"accuracy": acc, "per_class_accuracy": per_class,
+                 "test_fingerprint": fp}))
+        cli.compare(tmp_path / "a", tmp_path / "b", tmp_path / "compare.csv")
+        assert (tmp_path / "compare.csv").read_bytes() == (
+            b"accuracy_a,accuracy_b,delta_class_0,delta_class_1\r\n"
+            b"1,0.75,0.3333333333,0\r\n")
 
 
 class TestCurves:

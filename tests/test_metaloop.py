@@ -547,20 +547,20 @@ class TestMetricLogger:
                test_acc=0.5, hypergrad_norm=12345678901.5,
                family_weight_0=0.1, family_weight_1=nan)
         lg.write_csv(tmp_path / "metrics.csv")
-        assert (tmp_path / "metrics.csv").read_text() == (
-            "iteration,epoch,train_loss,meta_loss,test_acc,family_weight_0,"
-            "family_weight_1,hypergrad_norm\n"
-            "0,0,1.5,nan,0.25,nan,nan,nan\n"
-            "1,1,0.6666666667,1e-12,0.5,0.1,nan,1.23456789e+10\n")
+        assert (tmp_path / "metrics.csv").read_bytes() == (
+            b"iteration,epoch,train_loss,meta_loss,test_acc,family_weight_0,"
+            b"family_weight_1,hypergrad_norm\n"
+            b"0,0,1.5,nan,0.25,nan,nan,nan\n"
+            b"1,1,0.6666666667,1e-12,0.5,0.1,nan,1.23456789e+10\n")
 
     def test_erm_csv_has_no_family_columns(self, tmp_path):
         lg = metaloop.MetricLogger(0, 1)
         lg.log(iteration=7, epoch=2, train_loss=0.125, meta_loss=float("nan"),
                test_acc=1.0, hypergrad_norm=float("nan"))
         lg.write_csv(tmp_path / "metrics.csv")
-        assert (tmp_path / "metrics.csv").read_text() == (
-            "iteration,epoch,train_loss,meta_loss,test_acc,hypergrad_norm\n"
-            "7,2,0.125,nan,1,nan\n")
+        assert (tmp_path / "metrics.csv").read_bytes() == (
+            b"iteration,epoch,train_loss,meta_loss,test_acc,hypergrad_norm\n"
+            b"7,2,0.125,nan,1,nan\n")
 
     def test_logging_holds_only_the_table(self):
         # about a sym_meta run's row count; a dict of floats per row held

@@ -5,11 +5,12 @@ import csv
 import numpy as np
 import pytest
 
-from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
-from cmwnet.metrics import (HIST_BINS, LOSS_GRID, evaluate, loss_histogram,
-                            weight_curve, write_confusion_csv,
+from cmwnet import metrics
+from cmwnet.biasgen import Dataset, inject_symmetric, make_gaussian_classes
+from cmwnet.metrics import (HIST_BINS, LOSS_GRID, MetricsReport, evaluate,
+                            loss_histogram, weight_curve, write_confusion_csv,
                             write_histogram_csv, write_weight_curve_csv)
-from cmwnet.models import LOSS_CLAMP, ROWS, Classifier
+from cmwnet.models import LOSS_CLAMP, ROWS, Classifier, WeightNet
 from conftest import tiny_weightnet
 
 
@@ -198,3 +199,44 @@ class TestCsvEmission:
         assert rows[0] == ["pred_0", "pred_1", "pred_2"]
         body = np.array([[int(v) for v in r] for r in rows[1:]])
         np.testing.assert_array_equal(body, rep.confusion)
+
+
+class TestCsvBytes:
+    """Each figure table's exact bytes on a hand-built input: header, cell
+    formats and CR LF line ends."""
+
+    def test_weight_curve(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics, "LOSS_GRID",
+                            np.array([0.0, 0.1, 2 / 3, 10.0]))
+        # zero weights: each head is sigmoid(b2[k]) at every loss
+        wn = WeightNet(3, 2, np.zeros(2 * 3 + 3 * 2 + 2))
+        wn.b2[...] = [-40.0, np.log(2.0)]
+        write_weight_curve_csv(tmp_path / "curve.csv", wn)
+        assert (tmp_path / "curve.csv").read_bytes() == (
+            b"loss,family_0,family_1\r\n"
+            b"0,4.248354255e-18,0.6666666667\r\n"
+            b"0.1,4.248354255e-18,0.6666666667\r\n"
+            b"0.6666666667,4.248354255e-18,0.6666666667\r\n"
+            b"10,4.248354255e-18,0.6666666667\r\n")
+
+    def test_histogram(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(metrics, "HIST_BINS", 2)
+        # sample 1 is noisy; the largest loss, 2/3, sets the last edge
+        ds = Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 1]),
+                     np.array([0, 1, 1, 1]), 2)
+        write_histogram_csv(tmp_path / "hist.csv", ds,
+                            np.array([0.0, 0.5, 2 / 3, 0.1]))
+        assert (tmp_path / "hist.csv").read_bytes() == (
+            b"class,bin_lo,bin_hi,clean_count,noisy_count\r\n"
+            b"0,0,0.3333333333,1,0\r\n"
+            b"0,0.3333333333,0.6666666667,0,1\r\n"
+            b"1,0,0.3333333333,1,0\r\n"
+            b"1,0.3333333333,0.6666666667,1,0\r\n")
+
+    def test_confusion(self, tmp_path):
+        confusion = np.array([[3, 1, 0], [0, 12, 2], [5, 0, 7]],
+                             dtype=np.int64)
+        write_confusion_csv(tmp_path / "confusion.csv",
+                            MetricsReport(22 / 30, np.zeros(3), confusion))
+        assert (tmp_path / "confusion.csv").read_bytes() == (
+            b"pred_0,pred_1,pred_2\r\n3,1,0\r\n0,12,2\r\n5,0,7\r\n")

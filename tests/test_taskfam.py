@@ -1,6 +1,9 @@
 """1-D clustering of class sizes into task families."""
 
+import time
 import warnings
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +19,15 @@ def wcss(counts, fam: FamilyIndex) -> float:
     for i, c in enumerate(counts):
         mu = fam.centers[fam.class_to_family[i]]
         total += (c - mu) ** 2
+    return total
+
+
+def exact_wcss(groups) -> Fraction:
+    total = Fraction(0)
+    for group in groups:
+        xs = [Fraction(int(x)) for x in group]
+        mean = sum(xs) / len(xs)
+        total += sum((x - mean) ** 2 for x in xs)
     return total
 
 
@@ -98,6 +110,36 @@ class TestKmeans:
             np.testing.assert_array_equal(fam.centers, ref.centers)
             np.testing.assert_array_equal(fam.class_to_family,
                                           ref.class_to_family)
+
+    def test_thousand_classes_under_a_second(self):
+        # WebVision's class count; a numpy call per DP cell took about 7 s
+        counts = np.random.default_rng(31).integers(1, 5000, size=1000)
+        start = time.perf_counter()
+        fam = kmeans_1d(counts, 3)
+        assert time.perf_counter() - start < 1.0
+        assert fam.K == 3
+
+    def test_exact_optimum_on_ties(self):
+        # whole-number counts with many equal values, where several splits
+        # can have exactly the least WCSS: the families' WCSS, in exact
+        # arithmetic, is the least over every split of the sorted counts
+        cases = [([1] * 4 + [2] * 6 + [3] * 10, 2),
+                 ([1] * 4 + [2] * 6 + [3] * 10, 3),
+                 ([1] * 5 + [2] * 5 + [3] * 5, 2),
+                 ([2, 2, 4, 4, 6, 6, 8, 8], 3)]
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            counts = rng.integers(1, 6, size=12)
+            cases.append((counts, min(int(rng.integers(2, 5)),
+                                      n_distinct(counts))))
+        for counts, K in cases:
+            fam = kmeans_1d(counts, K)
+            xs = sorted(int(c) for c in counts)
+            best = min(exact_wcss(np.split(xs, cuts))
+                       for cuts in combinations(range(1, len(xs)), fam.K - 1))
+            got = exact_wcss([np.asarray(counts)[fam.class_to_family == k]
+                              for k in range(fam.K)])
+            assert got == best, (counts, K)
 
 
     def test_equality_is_identity(self):
