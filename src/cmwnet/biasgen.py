@@ -39,12 +39,14 @@ def posterior(x: np.ndarray, spec: GaussianMixtureSpec) -> np.ndarray:
     """Exact Bayes posterior rows for x (n, d) -> (n, C); rows sum to 1.
 
     Computed in log space from the isotropic Gaussian class conditionals,
-    so near-saturated points stay finite; the priors are equal, so their
-    log cancels in the normalization.
+    so near-saturated points stay finite; the priors and the per-row |x|^2
+    term are equal across classes, so they cancel in the normalization.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    d2 = ((x[:, None, :] - spec.means[None, :, :]) ** 2).sum(axis=2)
-    logp = -d2 / (2.0 * spec.sigma ** 2)
+    # -|x - mu|^2 / 2 sigma^2 without its per-row |x|^2, which the max cancels
+    logp = x @ spec.means.T
+    logp -= 0.5 * (spec.means ** 2).sum(axis=1)
+    logp /= spec.sigma ** 2
     logp -= logp.max(axis=1, keepdims=True)
     p = np.exp(logp)
     return p / p.sum(axis=1, keepdims=True)
@@ -212,18 +214,16 @@ def _margin_tau(delta: np.ndarray, noise_type: int) -> np.ndarray:
 def inject_pmd(ds: Dataset, noise_type: int, level: float, seed: int) -> Dataset:
     """Flip top-posterior label to the runner-up with margin-shaped probability.
 
-    Raw probabilities are scaled by one constant (bisection) so the mean flip
-    probability over the dataset equals `level`; per-sample probabilities are
-    clamped to [0, 1]. Samples whose clean label is not the top posterior
-    class are left untouched.
+    Raw probabilities are scaled by one constant, solved exactly, so the
+    mean flip probability over the dataset equals `level`; per-sample
+    probabilities are clamped to [0, 1]. Samples whose clean label is not the
+    top posterior class are left untouched.
     """
     if ds.mixture is None:
         raise ValueError("feature-dependent noise needs the posterior oracle")
     if not 0.0 <= level <= 1.0:
         raise ValueError("level must be in [0, 1]")
     out = ds.copy()
-    if level == 0.0:
-        return out
     eta = posterior(ds.features, ds.mixture)
     order = np.argsort(eta, axis=1)
     u = order[:, -1]
@@ -231,29 +231,19 @@ def inject_pmd(ds: Dataset, noise_type: int, level: float, seed: int) -> Dataset
     delta = eta[np.arange(ds.n), u] - eta[np.arange(ds.n), s]
     eligible = ds.clean_labels == u
     tau = _margin_tau(delta, noise_type) * eligible
-
-    def mean_prob(c):
-        return np.minimum(c * tau, 1.0).mean()
-
-    # saturated limit: every sample with tau > 0 flips with probability 1
-    max_rate = (tau > 0).mean()
-    if max_rate < level - 1e-12:
-        warnings.warn(
-            f"requested flip rate {level} infeasible; achievable mean is "
-            f"{max_rate:.4f}, proceeding with saturated probabilities")
+    # t: positive tau, descending. With t[:k] saturated, c_k = (n * level - k)
+    # / sum(t[k:]) meets the mean; the least k with c_k * t[k] < 1 is exact.
+    t = np.sort(tau[tau > 0])[::-1]
+    c = (ds.n * level - np.arange(t.size)) / np.cumsum(t[::-1])[::-1]
+    unsaturated = np.flatnonzero(c * t < 1.0)
+    if unsaturated.size:
+        prob = np.minimum(c[unsaturated[0]] * tau, 1.0)
+    else:  # every sample with tau > 0 flips with probability 1
+        if t.size / ds.n < level - 1e-12:
+            warnings.warn(
+                f"requested flip rate {level} infeasible; achievable mean is "
+                f"{t.size / ds.n:.4f}, proceeding with saturated probabilities")
         prob = (tau > 0).astype(float)
-    else:
-        lo, hi = 0.0, 1.0
-        while mean_prob(hi) < level:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mean_prob(mid) < level:
-                lo = mid
-            else:
-                hi = mid
-        c = 0.5 * (lo + hi)
-        prob = np.minimum(c * tau, 1.0)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flip = rng.random(ds.n) < prob
     out.observed_labels[flip] = s[flip]

@@ -9,6 +9,7 @@ seed) alone.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -95,14 +96,16 @@ _KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str,
 
 def _type_ok(value, annotation: str) -> bool:
     """Whether a YAML value fits a schema annotation such as 'list[int]' or
-    'float | None'; an int is a float, a bool is no number."""
+    'float | None'; a float is finite, an int in its range is a float too,
+    and a bool is no number."""
     if annotation.endswith(" | None"):
         return value is None or _type_ok(value, annotation[:-len(" | None")])
     if annotation.startswith("list["):
         return isinstance(value, list) and all(
             _type_ok(v, annotation[5:-1]) for v in value)
     return isinstance(value, _KINDS[annotation]) and (
-        annotation == "bool" or not isinstance(value, bool))
+        annotation == "bool" or not isinstance(value, bool)) and (
+        annotation != "float" or abs(value) <= sys.float_info.max)
 
 
 # The least value of each bounded field. A negative rate or decay would
@@ -160,7 +163,8 @@ def _build(path: str, data, cls):
         if annotation in _SECTIONS:
             value = _build(f"{path}{key}.", value, _SECTIONS[annotation])
         elif not _type_ok(value, annotation):
-            raise ConfigError(f"{path}{key} must be of type {annotation}, "
+            kind = annotation.replace("float", "finite float")
+            raise ConfigError(f"{path}{key} must be of type {kind}, "
                               f"got {value!r}")
         kwargs[key] = value
     try:

@@ -17,8 +17,9 @@ from . import numkit
 from .numkit import (array_shape, flatten, read_arrays, sigmoid, softmax,
                      write_arrays, xent)
 
-# losses above this reach the weighting net as this value
+# the weighting net reads each loss as min(loss, LOSS_CLAMP) / LOSS_SCALE
 LOSS_CLAMP = 50.0
+LOSS_SCALE = 1.0
 # whole-dataset passes run this many rows at a time, so their temporaries
 # are (ROWS x width) rather than (n x width)
 ROWS = 256
@@ -195,11 +196,11 @@ class WeightNet:
 
     def _gated(self, losses: np.ndarray, fam: np.ndarray):
         """The net's one forward pass, through each sample's own head:
-        (clamped losses, fam, h, W2[:, fam], v), v_j = head[fam_j](loss_j)."""
+        (net inputs, fam, h, W2[:, fam], v), v_j = head[fam_j](loss_j)."""
         ell = np.atleast_1d(np.asarray(losses, dtype=np.float64))
         if not np.all(np.isfinite(ell)):
             raise FloatingPointError("non-finite loss input to weight net")
-        ell = np.minimum(ell, LOSS_CLAMP)
+        ell = np.minimum(ell, LOSS_CLAMP) / LOSS_SCALE
         fam = np.atleast_1d(np.asarray(fam))
         h = ell[:, None] * self.W1                      # (n, H)
         h += self.b1

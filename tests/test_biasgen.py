@@ -113,6 +113,27 @@ class TestPosterior:
         eta = posterior(rng.normal(size=(50, 3)) * 5, ds.mixture)
         np.testing.assert_allclose(eta.sum(axis=1), np.ones(50), atol=1e-12)
 
+    def test_no_difference_cube(self):
+        # n = 2000 rows against C = 100 simplex means in d = 99: an (n, C, d)
+        # cube of differences would hold 160 MB
+        ds = make_gaussian_classes(100, 99, 20, 8.0, 1.0, 0)
+        posterior(ds.features[:2], ds.mixture)  # first-call set-up
+        tracemalloc.start()
+        try:
+            eta = posterior(ds.features, ds.mixture)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        # the squared-distance form, 100 rows at a time
+        for i in range(0, ds.n, 100):
+            x = ds.features[i:i + 100, None, :]
+            logp = -((x - ds.mixture.means) ** 2).sum(axis=2) / 2.0
+            p = np.exp(logp - logp.max(axis=1, keepdims=True))
+            np.testing.assert_allclose(
+                eta[i:i + 100], p / p.sum(axis=1, keepdims=True),
+                rtol=0, atol=1e-12)
+
 
 class TestLongtail:
     def test_factor_one_unchanged(self):
@@ -232,7 +253,84 @@ class TestAsymmetricNoise:
                     assert d_m <= d_o + 1e-12
 
 
+def pmd_by_bisection(ds, noise_type, level, seed):
+    """inject_pmd as it was calibrated before the exact solve: a doubling
+    search and 200 bisection steps for the c with mean(min(c tau, 1)) =
+    level, and no flips at level 0."""
+    out = ds.copy()
+    if level == 0.0:
+        return out
+    eta = posterior(ds.features, ds.mixture)
+    order = np.argsort(eta, axis=1)
+    u, s = order[:, -1], order[:, -2]
+    rows = np.arange(ds.n)
+    tau = biasgen._margin_tau(eta[rows, u] - eta[rows, s], noise_type)
+    tau *= ds.clean_labels == u
+
+    def mean_prob(c):
+        # a level just past the saturated mean doubles c to inf, and
+        # inf * 0 is nan; those rows never flip, as in the saturated branch
+        with np.errstate(invalid="ignore"):
+            return np.minimum(c * tau, 1.0).mean()
+
+    max_rate = (tau > 0).mean()
+    if max_rate < level - 1e-12:
+        warnings.warn(
+            f"requested flip rate {level} infeasible; achievable mean is "
+            f"{max_rate:.4f}, proceeding with saturated probabilities")
+        prob = (tau > 0).astype(float)
+    else:
+        lo, hi = 0.0, 1.0
+        while mean_prob(hi) < level:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mean_prob(mid) < level:
+                lo = mid
+            else:
+                hi = mid
+        with np.errstate(invalid="ignore"):
+            prob = np.minimum(0.5 * (lo + hi) * tau, 1.0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    flip = rng.random(ds.n) < prob
+    out.observed_labels[flip] = s[flip]
+    return out
+
+
+def labels_and_warnings(fn, *args):
+    """fn(*args)'s observed labels and the infeasible-rate warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = fn(*args).observed_labels
+    return labels, [str(w.message) for w in caught
+                    if "infeasible" in str(w.message)]
+
+
 class TestPmdNoise:
+    @pytest.mark.parametrize("noise_type", [1, 2, 3])
+    @pytest.mark.parametrize("C, d", [(3, 2), (10, 8)])
+    def test_exact_scale_equals_bisection(self, C, d, noise_type):
+        for separation in (2.0, 6.0):
+            for seed in range(2):
+                ds = make_gaussian_classes(C, d, 40, separation, 1.0, seed)
+                eta = posterior(ds.features, ds.mixture)
+                top2 = np.sort(eta, axis=1)[:, -2:]
+                tau = biasgen._margin_tau(top2[:, 1] - top2[:, 0], noise_type)
+                # the count of samples that can flip, and levels at the
+                # edge of saturation and of the infeasible warning's 1e-12
+                m = int((tau * (ds.clean_labels == eta.argmax(axis=1)) > 0
+                         ).sum())
+                n = ds.n
+                levels = [0.0, 0.05, 0.3, 0.6, 0.9, 1.0, m / n, (m - 1) / n,
+                          m / n - 1e-13, m / n + 5e-13, m / n + 1e-9]
+                for level in (v for v in levels if 0.0 <= v <= 1.0):
+                    got = labels_and_warnings(inject_pmd, ds, noise_type,
+                                              level, seed + 7)
+                    want = labels_and_warnings(pmd_by_bisection, ds,
+                                               noise_type, level, seed + 7)
+                    assert got[0].tobytes() == want[0].tobytes(), level
+                    assert got[1] == want[1], level
+
     def test_level_zero_unchanged(self):
         ds = make_gaussian_classes(4, 3, 50, 4.0, 1.0, 0)
         out = inject_pmd(ds, 1, 0.0, 1)

@@ -219,6 +219,10 @@ class TestExitCodes:
         ({"weight_decay": -1e-4}, "train.weight_decay"),
         ({"theta_weight_decay": -1e-4}, "train.theta_weight_decay"),
         ({"warmup_epochs": -1}, "train.warmup_epochs"),
+        # nan passes every bound and would fail at the first step; an int
+        # past the float range cannot convert
+        ({"lr": float("nan")}, "train.lr"),
+        ({"lr": 10 ** 400}, "train.lr"),
     ])
     def test_config_error_names_field(self, tmp_path, capsys, train, field):
         self.assert_config_error(write_cfg(tmp_path, train=train), tmp_path,
@@ -275,6 +279,10 @@ class TestExitCodes:
         ({"dataset": {"bias": [{"kind": "symmetric",
                                 "imbalance_factor": 10.0}]}},
          "dataset.bias[0]"),
+        # non-finite floats, in a section and in a bias spec
+        ({"dataset": {"separation": float("inf")}}, "dataset.separation"),
+        ({"dataset": {"bias": [{"kind": "pmd2", "level": float("nan")}]}},
+         "dataset.bias[0].level"),
     ])
     def test_config_type_error_outside_train(self, tmp_path, capsys,
                                              overrides, field):
@@ -290,6 +298,25 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert "dataset.d" in err[0]
+        assert files_under(tmp_path / "o") == []
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    @pytest.mark.parametrize("field, value", [
+        # the class means' SVD does not converge
+        ("separation", float("nan")),
+        # generate would write a dataset that no command can load
+        ("sigma", float("inf")),
+    ])
+    def test_non_finite_dataset_float(self, tmp_path, capsys, command,
+                                      field, value):
+        cfg = write_cfg(tmp_path, dataset={field: value})
+        code = cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert (f"dataset.{field} must be of type finite float, got {value}"
+                in err[0])
         assert files_under(tmp_path / "o") == []
 
     def test_int_accepted_for_float(self, tmp_path):

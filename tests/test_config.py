@@ -1,6 +1,7 @@
 """Config parsing, validation, and round-trip identity."""
 
 import re
+import sys
 
 import pytest
 import yaml
@@ -67,6 +68,31 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(config(bound - 1))
         config_from_dict(config(bound))
+
+    @pytest.mark.parametrize("data, field", [
+        ({"dataset": {"separation": float("nan")}}, "dataset.separation"),
+        ({"dataset": {"sigma": float("inf")}}, "dataset.sigma"),
+        ({"train": {"lr": float("nan")}}, "train.lr"),
+        ({"train": {"theta_lr": -float("inf")}}, "train.theta_lr"),
+        ({"train": {"lr": 10 ** 400}}, "train.lr"),
+        ({"dataset": {"bias": [{"kind": "pmd1", "level": float("nan")}]}},
+         "dataset.bias[0].level"),
+        ({"dataset": {"bias": [{"kind": "longtail",
+                                "imbalance_factor": float("inf")}]}},
+         "dataset.bias[0].imbalance_factor"),
+    ])
+    def test_non_finite_float_rejected(self, data, field):
+        # nan passes every bound (nan < 0 is false), and an int past the
+        # float range cannot convert
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{field} must be of type finite "
+                                           "float, got ")):
+            config_from_dict(data)
+
+    def test_largest_finite_float_accepted(self):
+        big = sys.float_info.max
+        cfg = config_from_dict({"train": {"lr": big, "theta_lr": int(big)}})
+        assert cfg.train.lr == big and cfg.train.theta_lr == int(big)
 
     def test_bad_schedule(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmwnet import numkit
-from cmwnet.models import (LOSS_CLAMP, ROWS, Classifier, WeightNet,
+from cmwnet.models import (LOSS_CLAMP, LOSS_SCALE, ROWS, Classifier, WeightNet,
                            load_checkpoint, save_checkpoint)
 from cmwnet.numkit import read_arrays, write_arrays
 from cmwnet.taskfam import assign_family
@@ -414,7 +414,7 @@ class TestOneParameterVector:
         wn.b2[...] = rng.normal(size=K)
         losses = rng.exponential(3.0, size=n)
         fam = rng.integers(0, K, size=n)
-        ell = np.minimum(losses, LOSS_CLAMP)
+        ell = np.minimum(losses, LOSS_CLAMP) / LOSS_SCALE
         h = np.maximum(ell[:, None] @ wn.W1 + wn.b1, 0.0)
         gated = wn._gated(losses, fam)
         assert np.array_equal(gated[2], h)
@@ -436,7 +436,7 @@ class TestWeightJacobianOracle:
         v, dv = wn.weight_and_grad(losses, fam)
         assert np.array_equal(v, wn.weight(losses, fam))
 
-        ell = np.minimum(losses, LOSS_CLAMP)
+        ell = np.minimum(losses, LOSS_CLAMP) / LOSS_SCALE
         z1 = ell[:, None] @ wn.W1 + wn.b1
         h = np.maximum(z1, 0.0)
         dz2 = v * (1.0 - v)
