@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import (CorruptArtifact, array_shape, read_arrays, write_arrays,
-                     write_csv)
+from .numkit import (CorruptArtifact, array_shape, read_arrays, softmax,
+                     write_arrays, write_csv)
 
 
 @dataclass
@@ -46,10 +46,8 @@ def posterior(x: np.ndarray, spec: GaussianMixtureSpec) -> np.ndarray:
     # -|x - mu|^2 / 2 sigma^2 without its per-row |x|^2, which the max cancels
     logp = x @ spec.means.T
     logp -= 0.5 * (spec.means ** 2).sum(axis=1)
-    logp /= spec.sigma ** 2
-    logp -= logp.max(axis=1, keepdims=True)
-    p = np.exp(logp)
-    return p / p.sum(axis=1, keepdims=True)
+    logp /= np.square(spec.sigma)  # inf, not OverflowError, past 1.3e154
+    return softmax(logp)
 
 
 @dataclass
@@ -123,6 +121,8 @@ def make_gaussian_classes(C: int, d: int, n_per_class: int, separation: float,
     # one n x d array: each class mean is added in place to its block of rows
     x = rng.normal(scale=sigma, size=(C, n_per_class, d))
     x += spec.means[:, None, :]
+    if not np.isfinite(x).all():
+        raise ValueError("the mixture draw holds a non-finite feature")
     return Dataset(x.reshape(-1, d), labels.copy(), labels.copy(), C, spec)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,16 +26,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-OUT_ROOT_ENV = "CMWNET_OUT_ROOT"
-
 
 def _resolve_out(out: str) -> Path:
-    root = os.environ.get(OUT_ROOT_ENV)
-    p = Path(out)
-    if root and not p.is_absolute():
-        p = Path(root) / p
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
 
 
 def _dataset_fingerprint(cfg: ExperimentConfig) -> dict:
@@ -47,11 +40,15 @@ def _dataset_fingerprint(cfg: ExperimentConfig) -> dict:
 
 
 def _load(args) -> ExperimentConfig:
-    """The config named by --config, with --seed applied."""
+    """The config named by --config with --seed and, for meta-test, the
+    variant and --checkpoint applied, then validated."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-        cfg.validate()
+    if args.command == "meta-test":
+        cfg.train.variant = "meta-test"
+        cfg.train.checkpoint = args.checkpoint or cfg.train.checkpoint
+    cfg.validate()
     return cfg
 
 
@@ -164,13 +161,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_train(args) -> int:
     """train, and meta-test: train under the checkpoint's frozen net."""
-    cfg = _load(args)
-    if args.command == "meta-test":
-        cfg.train.variant = "meta-test"
-        if args.checkpoint:
-            cfg.train.checkpoint = args.checkpoint
-        cfg.validate()
-    out_dir, report = run(cfg, args.out)
+    out_dir, report = run(_load(args), args.out)
     print(f"{report['variant']}: test accuracy {report['accuracy']:.4f} "
           f"({out_dir})")
     return EXIT_OK

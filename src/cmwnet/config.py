@@ -8,7 +8,6 @@ seed) alone.
 
 from __future__ import annotations
 
-import functools
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -131,10 +130,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
-        for path, bound in _LOWER_BOUNDS.items():
-            value = functools.reduce(getattr, path.split("."), self)
-            if value < bound:
-                raise ConfigError(f"{path} must be >= {bound}, got {value}")
+        """The field rules of a YAML file, then the cross-field rules."""
+        _build("", self.to_dict(), ExperimentConfig)
         self.dataset.validate()
         self.model.validate()
         self.train.validate(self.model)
@@ -146,10 +143,10 @@ class ExperimentConfig:
 _SECTIONS = {cls.__name__: cls for cls in
              (DatasetConfig, TestSetConfig, ModelConfig, TrainConfig)}
 def _build(path: str, data, cls):
-    """`cls` built from a YAML mapping whose every key is a field of `cls`
-    and whose every value fits that field's annotation; a section field is
-    built in turn. `path` ('', 'train.', 'dataset.bias[0].') prefixes the
-    field names in errors."""
+    """`cls` built from a mapping whose every key is a field of `cls` and
+    whose every value fits that field's annotation and lower bound; a
+    section field is built in turn. `path` ('', 'train.', 'dataset.bias[0].')
+    prefixes the field names in errors."""
     if not isinstance(data, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config root'} "
                           "must be a mapping")
@@ -159,13 +156,15 @@ def _build(path: str, data, cls):
         raise ConfigError(f"unknown field(s): {bad}")
     kwargs = {}
     for key, value in data.items():
-        annotation = fields[key].type
+        name, annotation = path + key, fields[key].type
+        bound = _LOWER_BOUNDS.get(name)
         if annotation in _SECTIONS:
-            value = _build(f"{path}{key}.", value, _SECTIONS[annotation])
+            value = _build(name + ".", value, _SECTIONS[annotation])
         elif not _type_ok(value, annotation):
             kind = annotation.replace("float", "finite float")
-            raise ConfigError(f"{path}{key} must be of type {kind}, "
-                              f"got {value!r}")
+            raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+        elif bound is not None and value < bound:
+            raise ConfigError(f"{name} must be >= {bound}, got {value}")
         kwargs[key] = value
     try:
         return cls(**kwargs)
@@ -200,11 +199,18 @@ def save_config(path, cfg: ExperimentConfig) -> None:
 # dataset realization
 
 
-def build_train_dataset(cfg: ExperimentConfig) -> Dataset:
+def _draw(cfg: ExperimentConfig, n_per_class: int, seed: int) -> Dataset:
     dc = cfg.dataset
-    ds = biasgen.make_gaussian_classes(dc.C, dc.d, dc.n_per_class,
-                                       dc.separation, dc.sigma, dc.seed)
-    for i, spec in enumerate(dc.bias):
+    try:
+        return biasgen.make_gaussian_classes(dc.C, dc.d, n_per_class,
+                                             dc.separation, dc.sigma, seed)
+    except ValueError as e:  # a draw past the float range
+        raise ConfigError(f"dataset.sigma / dataset.separation: {e}") from e
+
+
+def build_train_dataset(cfg: ExperimentConfig) -> Dataset:
+    ds = _draw(cfg, cfg.dataset.n_per_class, cfg.dataset.seed)
+    for i, spec in enumerate(cfg.dataset.bias):
         try:
             ds = BiasSpec(**spec).apply(ds)
         except ValueError as e:  # a spec that does not fit the data before it
@@ -213,7 +219,4 @@ def build_train_dataset(cfg: ExperimentConfig) -> Dataset:
 
 
 def build_test_dataset(cfg: ExperimentConfig) -> Dataset:
-    dc = cfg.dataset
-    return biasgen.make_gaussian_classes(dc.C, dc.d, cfg.test.n_per_class,
-                                         dc.separation, dc.sigma,
-                                         cfg.test.seed)
+    return _draw(cfg, cfg.test.n_per_class, cfg.test.seed)

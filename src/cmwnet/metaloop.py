@@ -326,9 +326,9 @@ class MetricLogger:
             it, epoch, *rest = row.tolist()
             yield dict(zip(self.columns, [int(it), int(epoch)] + rest))
 
-    def write_csv(self, path) -> None:  # \n line ends, unlike figure tables
+    def write_csv(self, path) -> None:
         fmt = ["%d", "%d"] + ["%.10g"] * (len(self.columns) - 2)
-        numkit.write_csv(path, self.columns, self.table[:self.n], fmt, "\n")
+        numkit.write_csv(path, self.columns, self.table[:self.n], fmt)
 
 
 def _family_means(v: np.ndarray, fams: np.ndarray, K: int) -> dict:

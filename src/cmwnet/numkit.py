@@ -224,10 +224,10 @@ def array_shape(path, arrays: dict, name: str, want: tuple) -> tuple:
     return got
 
 
-def write_csv(path, header: list[str], table, fmt, newline="\r\n") -> None:
-    """Comma-separated: the header names, then each row of `table` in `fmt`."""
+def write_csv(path, header: list[str], table, fmt) -> None:
+    """Comma-separated, \\n line ends: the header, then `table` in `fmt`."""
     with open(path, "w", newline="") as fh:
-        np.savetxt(fh, table, fmt, ",", newline, ",".join(header), comments="")
+        np.savetxt(fh, table, fmt, ",", header=",".join(header), comments="")
 
 
 def finite_diff_grad(f, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -95,6 +95,11 @@ class TestGaussianClasses:
         ds = make_gaussian_classes(2, 1, 10, 4.0, 1.0, 0)
         assert abs(np.ptp(ds.mixture.means[:, 0]) - 4.0) < 1e-12
 
+    def test_non_finite_draw_refused(self):
+        # features past the float range make a dataset no loader accepts
+        with pytest.raises(ValueError, match="non-finite feature"):
+            make_gaussian_classes(4, 3, 30, 4.0, 1.0e308, 0)
+
 
 class TestPosterior:
     def test_midpoint_symmetry(self):
@@ -112,6 +117,19 @@ class TestPosterior:
         ds = make_gaussian_classes(4, 3, 5, 5.0, 1.0, 0)
         eta = posterior(rng.normal(size=(50, 3)) * 5, ds.mixture)
         np.testing.assert_allclose(eta.sum(axis=1), np.ones(50), atol=1e-12)
+
+    def test_sigma_squared_past_float_range(self):
+        # sigma ** 2 overflows above about 1.3e154: every class is then
+        # equally likely, so pmd noise flips the last class to the one before
+        ds = make_gaussian_classes(4, 3, 30, 4.0, 1.0e200, 0)
+        with np.errstate(over="ignore"):
+            eta = posterior(ds.features, ds.mixture)
+            noisy = inject_pmd(ds, 1, 0.1, 2)
+        np.testing.assert_array_equal(eta, 0.25)
+        flipped = noisy.noisy_mask()
+        assert flipped.any()
+        assert (noisy.clean_labels[flipped] == 3).all()
+        assert (noisy.observed_labels[flipped] == 2).all()
 
     def test_no_difference_cube(self):
         # n = 2000 rows against C = 100 simplex means in d = 99: an (n, C, d)
@@ -494,14 +512,14 @@ class TestDatasetFiles:
         assert header[-2:] == ["observed", "clean"]
 
     def test_csv_export_bytes(self, tmp_path):
-        # .17g features (every float64 round-trips), int labels, \r\n ends
+        # .17g features (every float64 round-trips), int labels, \n ends
         ds = Dataset(np.array([[0.1, -2.5], [1 / 3, 1e-20]]),
                      np.array([1, 0]), np.array([1, 1]), 2)
         export_csv(tmp_path / "data.csv", ds)
         assert (tmp_path / "data.csv").read_bytes() == (
-            b"x0,x1,observed,clean\r\n"
-            b"0.10000000000000001,-2.5,1,1\r\n"
-            b"0.33333333333333331,9.9999999999999995e-21,0,1\r\n")
+            b"x0,x1,observed,clean\n"
+            b"0.10000000000000001,-2.5,1,1\n"
+            b"0.33333333333333331,9.9999999999999995e-21,0,1\n")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.cmwd"

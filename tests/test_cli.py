@@ -175,12 +175,6 @@ class TestTrain:
                          "--out", str(tmp_path / "run")]) == 0
         assert calls == {"evaluate": 3 + 1, "losses": 2 + 1}
 
-    def test_out_root_env_var(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
-        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
-        assert cli.main(["train", "--config", str(cfg), "--out", "rel"]) == 0
-        assert (tmp_path / "root" / "rel" / "report.json").exists()
-
 
 class TestExitCodes:
     def test_config_error(self, tmp_path, capsys):
@@ -283,6 +277,9 @@ class TestExitCodes:
         ({"dataset": {"separation": float("inf")}}, "dataset.separation"),
         ({"dataset": {"bias": [{"kind": "pmd2", "level": float("nan")}]}},
          "dataset.bias[0].level"),
+        # cross-field rules, after every field has its type and bound
+        ({"model": {"hidden": [8, 0]}}, "model.hidden"),
+        ({"dataset": {"sigma": 0.0}}, "dataset.sigma"),
     ])
     def test_config_type_error_outside_train(self, tmp_path, capsys,
                                              overrides, field):
@@ -317,6 +314,18 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert (f"dataset.{field} must be of type finite float, got {value}"
                 in err[0])
+        assert files_under(tmp_path / "o") == []
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_non_finite_draw_is_config_error(self, tmp_path, capsys, command):
+        # finite, but the mixture draw passes the float range
+        cfg = write_cfg(tmp_path, dataset={"sigma": 1.0e308})
+        code = cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "dataset.sigma" in err[0] and "non-finite feature" in err[0]
         assert files_under(tmp_path / "o") == []
 
     def test_int_accepted_for_float(self, tmp_path):
@@ -372,23 +381,32 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
         assert "weight net" in err[0]
 
-    # the whole of an erm run, and the warmup epoch of a weighted one
-    @pytest.mark.parametrize("variant", ["erm", "cmwnet"])
-    def test_diverging_erm_step_is_numeric_failure(self, tmp_path, variant):
+    # the whole of an erm run, and the warmup epoch of a weighted one; an
+    # erm run once more in this process, where a line trace sees it
+    @pytest.mark.parametrize("variant", ["erm", "cmwnet", "erm-in-process"])
+    def test_diverging_erm_step_is_numeric_failure(self, tmp_path, capsys,
+                                                   variant):
+        name = variant.removesuffix("-in-process")
         cfg = write_cfg(tmp_path, model={"K": 2},
-                        train={"variant": variant, "lr": 1.0e200})
-        err = self.script_stderr(
-            ["train", "--config", str(cfg), "--out", str(tmp_path / "o")], 3)
+                        train={"variant": name, "lr": 1.0e200})
+        args = ["train", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if name == variant:
+            err = self.script_stderr(args, 3)
+        else:
+            assert cli.main(args) == 3
+            err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numeric failure: non-finite gradient in erm step"]
 
-    @pytest.mark.parametrize("text", [b"a: [", b"a: \xff\xfe"])
+    # the last is valid YAML, but its root is a list, not a mapping
+    @pytest.mark.parametrize("text", [b"a: [", b"a: \xff\xfe", b"- a\n"])
     def test_malformed_yaml_is_config_error(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.yaml"
         bad.write_bytes(text)
-        self.assert_config_error(bad, tmp_path, capsys, str(bad))
+        field = "config root" if text.startswith(b"-") else str(bad)
+        self.assert_config_error(bad, tmp_path, capsys, field)
 
     @pytest.mark.parametrize("damage", ["not-json", "no-fingerprint",
-                                        "not-a-mapping"])
+                                        "not-a-mapping", "missing"])
     def test_corrupt_report_is_io_failure(self, tmp_path, capsys, damage):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
         out = tmp_path / "run"
@@ -396,8 +414,11 @@ class TestExitCodes:
         path = out / "report.json"
         report = json.loads(path.read_text())
         del report["test_fingerprint"]
-        path.write_text({"not-json": "{", "not-a-mapping": "[1]",
-                         "no-fingerprint": json.dumps(report)}[damage])
+        if damage == "missing":  # a run that never finished
+            path.unlink()
+        else:
+            path.write_text({"not-json": "{", "not-a-mapping": "[1]",
+                             "no-fingerprint": json.dumps(report)}[damage])
         capsys.readouterr()
         code = cli.main(["compare", str(out), str(out)])
         self.assert_io_failure(code, capsys, path, damage)
@@ -703,18 +724,8 @@ class TestCompare:
                          "--out", str(cmp_dir)]) == 0
         assert (cmp_dir / "compare.csv").exists()
 
-    def test_compare_out_under_out_root(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path)
-        out = tmp_path / "run"
-        cli.main(["train", "--config", str(cfg), "--out", str(out)])
-        monkeypatch.setenv(cli.OUT_ROOT_ENV, str(tmp_path / "root"))
-        monkeypatch.chdir(tmp_path)
-        assert cli.main(["compare", str(out), str(out), "--out", "cmp"]) == 0
-        assert (tmp_path / "root" / "cmp" / "compare.csv").stat().st_size > 0
-        assert not (tmp_path / "cmp").exists()
-
     def test_compare_csv_bytes(self, tmp_path):
-        # one .10g row, CR LF line ends; an int accuracy prints as one
+        # one .10g row, LF line ends; an int accuracy prints as one
         fp = {"C": 2}
         for name, acc, per_class in (("a", 1, [1.0, 0.5]),
                                      ("b", 0.75, [2 / 3, 0.5])):
@@ -724,8 +735,8 @@ class TestCompare:
                  "test_fingerprint": fp}))
         cli.compare(tmp_path / "a", tmp_path / "b", tmp_path / "compare.csv")
         assert (tmp_path / "compare.csv").read_bytes() == (
-            b"accuracy_a,accuracy_b,delta_class_0,delta_class_1\r\n"
-            b"1,0.75,0.3333333333,0\r\n")
+            b"accuracy_a,accuracy_b,delta_class_0,delta_class_1\n"
+            b"1,0.75,0.3333333333,0\n")
 
 
 class TestCurves:

@@ -6,9 +6,11 @@ import sys
 import pytest
 import yaml
 
+from cmwnet.biasgen import make_gaussian_classes
 from cmwnet.config import (ConfigError, ExperimentConfig, build_test_dataset,
                            build_train_dataset, config_from_dict, load_config,
                            save_config)
+from cmwnet.metaloop import meta_train
 
 # (field path, least value it may take); a negative rate or decay would
 # ascend the loss, so those bounds are 0
@@ -88,6 +90,22 @@ class TestValidation:
                            match=re.escape(f"{field} must be of type finite "
                                            "float, got ")):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("train", "lr", float("nan")), ("dataset", "sigma", float("inf")),
+        ("train", "epochs", 2.5), (None, "seed", -1)])
+    def test_config_edited_in_code_checked_like_yaml(self, section, name,
+                                                     value):
+        cfg = ExperimentConfig()
+        cfg.train.variant = "erm"
+        setattr(getattr(cfg, section) if section else cfg, name, value)
+        field = f"{section}.{name}" if section else name
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be")):
+            cfg.validate()
+        # training checks it before its first step
+        ds = make_gaussian_classes(2, 1, 5, 4.0, 1.0, 0)
+        with pytest.raises(ConfigError, match=re.escape(f"{field} must be")):
+            meta_train(ds, cfg)
 
     def test_largest_finite_float_accepted(self):
         big = sys.float_info.max

@@ -203,7 +203,7 @@ class TestCsvEmission:
 
 class TestCsvBytes:
     """Each figure table's exact bytes on a hand-built input: header, cell
-    formats and CR LF line ends."""
+    formats and LF line ends."""
 
     def test_weight_curve(self, tmp_path, monkeypatch):
         monkeypatch.setattr(metrics, "LOSS_GRID",
@@ -213,11 +213,11 @@ class TestCsvBytes:
         wn.b2[...] = [-40.0, np.log(2.0)]
         write_weight_curve_csv(tmp_path / "curve.csv", wn)
         assert (tmp_path / "curve.csv").read_bytes() == (
-            b"loss,family_0,family_1\r\n"
-            b"0,4.248354255e-18,0.6666666667\r\n"
-            b"0.1,4.248354255e-18,0.6666666667\r\n"
-            b"0.6666666667,4.248354255e-18,0.6666666667\r\n"
-            b"10,4.248354255e-18,0.6666666667\r\n")
+            b"loss,family_0,family_1\n"
+            b"0,4.248354255e-18,0.6666666667\n"
+            b"0.1,4.248354255e-18,0.6666666667\n"
+            b"0.6666666667,4.248354255e-18,0.6666666667\n"
+            b"10,4.248354255e-18,0.6666666667\n")
 
     def test_histogram(self, tmp_path, monkeypatch):
         monkeypatch.setattr(metrics, "HIST_BINS", 2)
@@ -227,11 +227,11 @@ class TestCsvBytes:
         write_histogram_csv(tmp_path / "hist.csv", ds,
                             np.array([0.0, 0.5, 2 / 3, 0.1]))
         assert (tmp_path / "hist.csv").read_bytes() == (
-            b"class,bin_lo,bin_hi,clean_count,noisy_count\r\n"
-            b"0,0,0.3333333333,1,0\r\n"
-            b"0,0.3333333333,0.6666666667,0,1\r\n"
-            b"1,0,0.3333333333,1,0\r\n"
-            b"1,0.3333333333,0.6666666667,1,0\r\n")
+            b"class,bin_lo,bin_hi,clean_count,noisy_count\n"
+            b"0,0,0.3333333333,1,0\n"
+            b"0,0.3333333333,0.6666666667,0,1\n"
+            b"1,0,0.3333333333,1,0\n"
+            b"1,0.3333333333,0.6666666667,1,0\n")
 
     def test_confusion(self, tmp_path):
         confusion = np.array([[3, 1, 0], [0, 12, 2], [5, 0, 7]],
@@ -239,4 +239,4 @@ class TestCsvBytes:
         write_confusion_csv(tmp_path / "confusion.csv",
                             MetricsReport(22 / 30, np.zeros(3), confusion))
         assert (tmp_path / "confusion.csv").read_bytes() == (
-            b"pred_0,pred_1,pred_2\r\n3,1,0\r\n0,12,2\r\n5,0,7\r\n")
+            b"pred_0,pred_1,pred_2\n3,1,0\n0,12,2\n5,0,7\n")
