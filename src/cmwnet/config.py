@@ -179,13 +179,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """The YAML file at path with each field's key, type and bound checked;
+    the cross-field rules wait for validate(), once the config is final."""
     with open(path) as fh:
         try:
             data = yaml.safe_load(fh) or {}
         except (yaml.YAMLError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: not valid YAML: "
                               f"{' '.join(str(e).split())}") from e
-    return config_from_dict(data)
+    return _build("", data, ExperimentConfig)
 
 
 def save_config(path, cfg: ExperimentConfig) -> None:

@@ -275,10 +275,10 @@ def sl_virtual_step(clf: Classifier, wnet: WeightNet, x_mix: np.ndarray,
 @dataclass
 class TrainState:
     clf: Classifier
-    wnet: WeightNet | None
-    fam: FamilyIndex | None
     clf_opt: SgdMomentum
-    theta_opt: Adam | None
+    wnet: WeightNet | None = None
+    fam: FamilyIndex | None = None
+    theta_opt: Adam | None = None
     w_wa: Classifier | None = None
     z: np.ndarray | None = None
     t: int = 0
@@ -289,7 +289,9 @@ class TrainState:
 
     @property
     def history(self) -> list[dict]:  # the metric rows, built on access
-        return list(self.logger.rows()) if self.logger is not None else []
+        log = self.logger
+        return [dict(zip(log.columns, [int(it), int(epoch)] + rest))
+                for it, epoch, *rest in log.table[:log.n].tolist()]
 
 
 def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
@@ -320,12 +322,6 @@ class MetricLogger:
         self.table[self.n] = [kw.get(c, np.nan) for c in self.columns]
         self.n += 1
 
-    def rows(self):
-        """Each logged row as a dict; iteration and epoch are ints."""
-        for row in self.table[:self.n]:
-            it, epoch, *rest = row.tolist()
-            yield dict(zip(self.columns, [int(it), int(epoch)] + rest))
-
     def write_csv(self, path) -> None:
         fmt = ["%d", "%d"] + ["%.10g"] * (len(self.columns) - 2)
         numkit.write_csv(path, self.columns, self.table[:self.n], fmt)
@@ -339,6 +335,15 @@ def _family_means(v: np.ndarray, fams: np.ndarray, K: int) -> dict:
     return out
 
 
+def _start(ds: Dataset, cfg, rng, wnet=None) -> TrainState:
+    """Check cfg before any of its settings is read, then a fresh classifier
+    for ds (drawn from rng) and its optimizer, in a state carrying wnet."""
+    cfg.validate()
+    clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng)
+    clf_opt = SgdMomentum(cfg.train.lr, MOMENTUM, cfg.train.weight_decay)
+    return TrainState(clf=clf, clf_opt=clf_opt, wnet=wnet)
+
+
 def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
                seed: int = 0) -> TrainState:
     """Full meta-training run; cfg is a resolved ExperimentConfig.
@@ -347,24 +352,20 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
     row per iteration into state.history and a summary into
     state.final_report.
     """
-    variant = cfg.train.variant
     # stream 4 is unused: dropping it would change rng_sl's seed
     rng_init_clf, rng_init_wn, rng_order, rng_meta, _, rng_sl = \
         spawn_rngs(seed, 6)
-
-    clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng_init_clf)
-    fam = wnet = theta_opt = None
+    state = _start(ds, cfg, rng_init_clf)
+    variant = cfg.train.variant
     if variant != "erm":
-        fam = kmeans_1d(ds.class_counts(), cfg.model.K)
-        wnet = WeightNet.init(fam.K, rng_init_wn, hidden=cfg.model.H)
-        theta_opt = Adam(cfg.train.theta_lr,
-                         weight_decay=cfg.train.theta_weight_decay)
-    clf_opt = SgdMomentum(cfg.train.lr, MOMENTUM, cfg.train.weight_decay)
-    state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
-                       theta_opt=theta_opt)
+        state.fam = kmeans_1d(ds.class_counts(), cfg.model.K)
+        state.wnet = WeightNet.init(state.fam.K, rng_init_wn,
+                                    hidden=cfg.model.H)
+        state.theta_opt = Adam(cfg.train.theta_lr,
+                               weight_decay=cfg.train.theta_weight_decay)
     if variant == "cmwnet-sl":
         state.z = onehot(ds.observed_labels, ds.C)
-        state.w_wa = Classifier(clf.sizes, np.zeros_like(clf.flat))
+        state.w_wa = Classifier(state.clf.sizes, np.zeros_like(state.clf.flat))
     return _train(state, ds, cfg, test_ds, rng_order, rng_meta, rng_sl)
 
 
@@ -376,19 +377,14 @@ def meta_test(wnet: WeightNet | None, query_ds: Dataset, cfg,
     wnet=None (or a weight net pinned at 1 upstream) reduces to plain ERM.
     """
     rng_init_clf, rng_order = spawn_rngs(seed, 2)
-    fam = None
+    state = _start(query_ds, cfg, rng_init_clf, wnet)
     if wnet is not None:
         sizes = n_distinct(query_ds.class_counts())
         if sizes < wnet.K:
             raise ConfigError(
                 f"weight net has {wnet.K} heads but the query's class sizes "
                 f"take only {sizes} distinct values")
-        fam = kmeans_1d(query_ds.class_counts(), wnet.K)
-    clf = Classifier.init([query_ds.d] + list(cfg.model.hidden) + [query_ds.C],
-                          rng_init_clf)
-    clf_opt = SgdMomentum(cfg.train.lr, MOMENTUM, cfg.train.weight_decay)
-    state = TrainState(clf=clf, wnet=wnet, fam=fam, clf_opt=clf_opt,
-                       theta_opt=None)
+        state.fam = kmeans_1d(query_ds.class_counts(), wnet.K)
     return _train(state, query_ds, cfg, test_ds, rng_order)
 
 
@@ -401,7 +397,6 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
     if state.theta_opt is set, and stays frozen otherwise; a learning run
     carrying ensembled targets (state.z) takes the soft-label step.
     """
-    cfg.validate()
     clf, wnet, tc = state.clf, state.wnet, cfg.train
     # no family index (no weighting net): no family columns
     K = state.fam.K if state.fam is not None else 0

@@ -684,6 +684,27 @@ class TestMetaTestCommand:
         assert snap["train"]["checkpoint"] == str(src / "checkpoint.ckpt")
         assert not (dst / "resolved.yaml").exists()
 
+    def test_checkpoint_flag_completes_a_meta_test_config(self, tmp_path,
+                                                          capsys):
+        # the config is checked once --checkpoint has been applied
+        src = tmp_path / "src"
+        assert cli.main(["train", "--config", str(write_cfg(tmp_path)),
+                         "--out", str(src)]) == 0
+        cfg = write_cfg(tmp_path, "transfer.yaml",
+                        train={"variant": "meta-test"})
+        ckpt = str(src / "checkpoint.ckpt")
+        dst = tmp_path / "dst"
+        assert cli.main(["meta-test", "--config", str(cfg), "--out", str(dst),
+                         "--checkpoint", ckpt]) == 0
+        snap = yaml.safe_load((dst / "snapshot.yaml").read_text())
+        assert snap["train"]["checkpoint"] == ckpt
+        capsys.readouterr()
+        assert cli.main(["meta-test", "--config", str(cfg),
+                         "--out", str(tmp_path / "none")]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "config error: train.variant=meta-test requires train.checkpoint"]
+        assert files_under(tmp_path / "none") == []
+
     def test_erm_checkpoint_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, train={"variant": "erm", "epochs": 1})
         src = tmp_path / "src"

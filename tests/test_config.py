@@ -3,14 +3,17 @@
 import re
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
+from cmwnet import metaloop
 from cmwnet.biasgen import make_gaussian_classes
 from cmwnet.config import (ConfigError, ExperimentConfig, build_test_dataset,
                            build_train_dataset, config_from_dict, load_config,
                            save_config)
-from cmwnet.metaloop import meta_train
+from cmwnet.metaloop import meta_test, meta_train
+from cmwnet.models import WeightNet
 
 # (field path, least value it may take); a negative rate or decay would
 # ascend the loss, so those bounds are 0
@@ -93,19 +96,35 @@ class TestValidation:
 
     @pytest.mark.parametrize("section, name, value", [
         ("train", "lr", float("nan")), ("dataset", "sigma", float("inf")),
-        ("train", "epochs", 2.5), (None, "seed", -1)])
-    def test_config_edited_in_code_checked_like_yaml(self, section, name,
-                                                     value):
+        ("train", "epochs", 2.5), (None, "seed", -1),
+        # settings a weighted run reads to build its classifier and its
+        # weighting net
+        ("model", "H", 2.5),
+        pytest.param("model", "hidden", ["a"], id="model-hidden-str"),
+        pytest.param("model", "hidden", [2.5], id="model-hidden-float"),
+        ("model", "K", 1.5)])
+    def test_config_edited_in_code_checked_like_yaml(self, monkeypatch,
+                                                     section, name, value):
         cfg = ExperimentConfig()
-        cfg.train.variant = "erm"
         setattr(getattr(cfg, section) if section else cfg, name, value)
         field = f"{section}.{name}" if section else name
         with pytest.raises(ConfigError, match=re.escape(f"{field} must be")):
             cfg.validate()
-        # training checks it before its first step
+        # both drivers check it before they read any setting, so before a
+        # weighted run clusters the class sizes
+        def kmeans_1d(*args):
+            raise AssertionError("class sizes clustered before the check")
+
+        monkeypatch.setattr(metaloop, "kmeans_1d", kmeans_1d)
         ds = make_gaussian_classes(2, 1, 5, 4.0, 1.0, 0)
-        with pytest.raises(ConfigError, match=re.escape(f"{field} must be")):
-            meta_train(ds, cfg)
+        wnet = WeightNet.init(1, np.random.default_rng(0), hidden=2)
+        for variant in ("erm", "cmwnet"):
+            cfg.train.variant = variant
+            for train in (lambda: meta_train(ds, cfg),
+                          lambda: meta_test(wnet, ds, cfg)):
+                with pytest.raises(ConfigError,
+                                   match=re.escape(f"{field} must be")):
+                    train()
 
     def test_largest_finite_float_accepted(self):
         big = sys.float_info.max
