@@ -52,16 +52,13 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _materialize(cfg: ExperimentConfig, out: str):
-    """Build both datasets, then write them and the snapshot; returns
-    (dir, train, test)."""
-    train_ds = build_train_dataset(cfg)
-    test_ds = build_test_dataset(cfg)
+def _write_inputs(cfg: ExperimentConfig, out: str, train_ds, test_ds) -> Path:
+    """Write the snapshot and both datasets under out; returns the dir."""
     out_dir = _resolve_out(out)
     save_config(out_dir / "snapshot.yaml", cfg)
     biasgen.save_dataset(out_dir / "train.cmwd", train_ds)
     biasgen.save_dataset(out_dir / "test.cmwd", test_ds)
-    return out_dir, train_ds, test_ds
+    return out_dir
 
 
 def _load_weighted(path) -> models.Checkpoint:
@@ -74,12 +71,13 @@ def _load_weighted(path) -> models.Checkpoint:
 
 def run(cfg: ExperimentConfig, out: str) -> tuple[Path, dict]:
     """Execute one experiment from a resolved config: load the checkpoint
-    (meta-test), build data, train, persist all artifacts. Returns the run
-    directory and the summary written to its report.json."""
+    (meta-test), build data and train, and only then write the snapshot, the
+    datasets and every artifact, so a run that fails before then writes
+    nothing. Returns the run directory and the summary in its report.json."""
     variant = cfg.train.variant
     frozen = (_load_weighted(cfg.train.checkpoint).weightnet
               if variant == "meta-test" else None)
-    out_dir, train_ds, test_ds = _materialize(cfg, out)
+    train_ds, test_ds = build_train_dataset(cfg), build_test_dataset(cfg)
     if frozen is not None:
         state = metaloop.meta_test(frozen, train_ds, cfg, test_ds=test_ds,
                                    seed=cfg.seed)
@@ -87,6 +85,7 @@ def run(cfg: ExperimentConfig, out: str) -> tuple[Path, dict]:
         state = metaloop.meta_train(train_ds, cfg, test_ds=test_ds,
                                     seed=cfg.seed)
 
+    out_dir = _write_inputs(cfg, out, train_ds, test_ds)
     state.logger.write_csv(out_dir / "metrics.csv")
     centers = state.fam.centers if state.fam is not None else None
     models.save_checkpoint(out_dir / "checkpoint.ckpt", state.clf,
@@ -153,7 +152,9 @@ def compare(dir_a, dir_b, out_path=None):
 
 
 def _cmd_generate(args) -> int:
-    out_dir, train_ds, _ = _materialize(_load(args), args.out)
+    cfg = _load(args)
+    train_ds = build_train_dataset(cfg)
+    out_dir = _write_inputs(cfg, args.out, train_ds, build_test_dataset(cfg))
     biasgen.export_csv(out_dir / "train.csv", train_ds)
     print(f"wrote datasets to {out_dir}")
     return EXIT_OK

@@ -175,11 +175,12 @@ def hypergrad(cache: VirtualStepCache, clf_hat: Classifier,
     return grad, float(meta_loss)
 
 
-def meta_update(wnet: WeightNet, optimizer, grad_flat: np.ndarray) -> None:
-    """Apply one optimizer step to the weighting-net parameters."""
+def meta_update(wnet: WeightNet, optimizer, grad_flat: np.ndarray,
+                lr: float) -> None:
+    """Apply one optimizer step at rate lr to the weighting-net parameters."""
     if not np.all(np.isfinite(grad_flat)):
         raise FloatingPointError("non-finite hypergradient")
-    optimizer.step(wnet.flat, grad_flat)
+    optimizer.step(wnet.flat, grad_flat, lr)
 
 
 def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
@@ -191,8 +192,7 @@ def classifier_update(clf: Classifier, optimizer, wnet: WeightNet,
     """
     v = wnet.weight(f.losses, f.fams)
     grad = _step_grads(f, v, "classifier update")
-    optimizer.lr = alpha
-    optimizer.step(clf.flat, grad)
+    optimizer.step(clf.flat, grad, alpha)
     return v
 
 
@@ -202,8 +202,7 @@ def erm_update(clf: Classifier, optimizer, x: np.ndarray, targets: np.ndarray,
     loss, grad = clf.mean_grad(x, targets)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("non-finite gradient in erm step")
-    optimizer.lr = alpha
-    optimizer.step(clf.flat, grad)
+    optimizer.step(clf.flat, grad, alpha)
     return loss
 
 
@@ -294,18 +293,19 @@ class TrainState:
                 for it, epoch, *rest in log.table[:log.n].tolist()]
 
 
-def _schedule_lr(sched: dict, base_lr: float, epoch: int, t: int,
-                 total_epochs: int) -> float:
-    kind = sched["kind"]
-    if kind == "piecewise":
-        lr = base_lr
-        for frac in MILESTONES:
-            if epoch >= frac * total_epochs:
-                lr *= LR_GAMMA
-        return lr
-    if kind == "decay":
-        return min(base_lr, base_lr / np.sqrt(max(t, 1)))
-    raise ValueError(f"unknown schedule kind {kind!r}")
+def _rates(tc, epoch: int, t: int) -> tuple[float, float]:
+    """(alpha, theta_lr): the classifier's and Theta's rates at iteration t,
+    in epoch, of a run with train config tc. Under piecewise alpha drops by
+    LR_GAMMA at each of the MILESTONES and theta_lr stays fixed; under decay
+    each rate r is min(r, r / sqrt(t))."""
+    if tc.schedule["kind"] == "decay":
+        return tuple(min(r, r / np.sqrt(max(t, 1)))
+                     for r in (tc.lr, tc.theta_lr))
+    alpha = tc.lr
+    for frac in MILESTONES:
+        if epoch >= frac * tc.epochs:
+            alpha *= LR_GAMMA
+    return alpha, tc.theta_lr
 
 
 class MetricLogger:
@@ -340,7 +340,7 @@ def _start(ds: Dataset, cfg, rng, wnet=None) -> TrainState:
     for ds (drawn from rng) and its optimizer, in a state carrying wnet."""
     cfg.validate()
     clf = Classifier.init([ds.d] + list(cfg.model.hidden) + [ds.C], rng)
-    clf_opt = SgdMomentum(cfg.train.lr, MOMENTUM, cfg.train.weight_decay)
+    clf_opt = SgdMomentum(MOMENTUM, cfg.train.weight_decay)
     return TrainState(clf=clf, clf_opt=clf_opt, wnet=wnet)
 
 
@@ -361,8 +361,7 @@ def meta_train(ds: Dataset, cfg, test_ds: Dataset | None = None,
         state.fam = kmeans_1d(ds.class_counts(), cfg.model.K)
         state.wnet = WeightNet.init(state.fam.K, rng_init_wn,
                                     hidden=cfg.model.H)
-        state.theta_opt = Adam(cfg.train.theta_lr,
-                               weight_decay=cfg.train.theta_weight_decay)
+        state.theta_opt = Adam(cfg.train.theta_weight_decay)
     if variant == "cmwnet-sl":
         state.z = onehot(ds.observed_labels, ds.C)
         state.w_wa = Classifier(state.clf.sizes, np.zeros_like(state.clf.flat))
@@ -423,7 +422,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
             idx = order[it * batch:(it + 1) * batch]
             x = ds.features[idx]
             y = ds.observed_labels[idx]
-            alpha = _schedule_lr(tc.schedule, tc.lr, epoch, state.t, tc.epochs)
+            alpha, theta_lr = _rates(tc, epoch, state.t)
             meta_loss = hg_norm = float("nan")
             if not weighted:
                 train_loss = erm_update(clf, state.clf_opt, x, y, alpha)
@@ -445,11 +444,7 @@ def _train(state: TrainState, ds: Dataset, cfg, test_ds: Dataset | None,
                     hg, meta_loss = hypergrad(cache, clf_hat, meta_x[midx],
                                               meta_t[midx])
                     del clf_hat, cache  # free dv before the next is built
-                    state.theta_opt.lr = (
-                        _schedule_lr(tc.schedule, tc.theta_lr, epoch, state.t,
-                                     tc.epochs)
-                        if tc.schedule["kind"] == "decay" else tc.theta_lr)
-                    meta_update(wnet, state.theta_opt, hg)
+                    meta_update(wnet, state.theta_opt, hg, theta_lr)
                     hg_norm = float(np.linalg.norm(hg))
                 v = classifier_update(clf, state.clf_opt, wnet, f, alpha)
                 # the pre-step batch mean CE, as erm_update returns it

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .numkit import (array_shape, flatten, read_arrays, sigmoid, softmax,
-                     write_arrays, xent)
+from .numkit import (CorruptArtifact, array_shape, flatten, read_arrays,
+                     sigmoid, softmax, write_arrays, xent)
 
 # the weighting net reads each loss as min(loss, LOSS_CLAMP) / LOSS_SCALE
 LOSS_CLAMP = 50.0
@@ -281,6 +281,9 @@ def load_checkpoint(path) -> Checkpoint:
     wnet = centers = None
     if "wn_W2" in arrays:
         H, K = shape("wn_W2", (None, None))
+        if H < 1 or K < 1:  # the floors of model.H and model.K
+            raise CorruptArtifact(f"{path}: array wn_W2 has shape {(H, K)}, "
+                                  f"expected at least one unit and one head")
         for name, want in (("wn_W1", (1, H)), ("wn_b1", (H,)), ("wn_b2", (K,))):
             shape(name, want)
         wnet = WeightNet(H, K, flatten([arrays[name] for name in

@@ -86,35 +86,33 @@ def _decayed(p: np.ndarray, g: np.ndarray, weight_decay: float) -> np.ndarray:
 
 
 class SgdMomentum:
-    """SGD with classical momentum and optional decoupled-from-nothing L2."""
+    """SGD with classical momentum and optional L2; each step takes a rate."""
 
-    def __init__(self, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        self.lr = lr
+    def __init__(self, momentum: float = 0.0, weight_decay: float = 0.0):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self.buffer: np.ndarray | None = None
 
-    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray, lr: float) -> None:
         d = _decayed(p, g, self.weight_decay)
         if self.buffer is None:
             self.buffer = np.zeros_like(p)
         self.buffer *= self.momentum
         self.buffer += d
         # one temporary: the decayed gradient's, reused for lr * buffer
-        p -= np.multiply(self.lr, self.buffer, out=None if d is g else d)
+        p -= np.multiply(lr, self.buffer, out=None if d is g else d)
 
 
 class Adam:
-    """Adam with bias correction; weight decay added to the gradient."""
+    """Adam with bias correction and weight decay; each step takes a rate."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0):
-        self.lr = lr
+    def __init__(self, weight_decay: float = 0.0):
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
 
-    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+    def step(self, p: np.ndarray, g: np.ndarray, lr: float) -> None:
         d = _decayed(p, g, self.weight_decay)
         if self.m is None:
             self.m, self.v = np.zeros_like(p), np.zeros_like(p)
@@ -125,7 +123,7 @@ class Adam:
         self.m += (1.0 - ADAM_BETA1) * d
         self.v *= ADAM_BETA2
         self.v += (1.0 - ADAM_BETA2) * d * d
-        p -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
+        p -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

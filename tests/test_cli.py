@@ -13,6 +13,7 @@ import yaml
 
 from cmwnet import cli, metaloop, metrics
 from cmwnet.biasgen import Dataset, load_dataset, save_dataset
+from cmwnet.config import TrainConfig
 from cmwnet.models import ROWS, Classifier, load_checkpoint
 from cmwnet.numkit import read_arrays, write_arrays
 
@@ -149,8 +150,8 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 0
         snap = yaml.safe_load((out / "snapshot.yaml").read_text())
         assert snap["train"]["schedule"] == {"kind": "piecewise"}
-        lrs = [metaloop._schedule_lr(snap["train"]["schedule"], 1.0, e, 0, 10)
-               for e in (5, 6, 7, 8)]
+        tc = TrainConfig(lr=1.0, epochs=10, schedule=snap["train"]["schedule"])
+        lrs = [metaloop._rates(tc, e, 0)[0] for e in (5, 6, 7, 8)]
         assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
 
     def test_final_model_evaluated_once(self, tmp_path, monkeypatch):
@@ -362,6 +363,8 @@ class TestExitCodes:
              str(src / "checkpoint.ckpt")], 2)
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert "2 heads" in err[0]
+        # refused by the training it needs, before anything is written
+        assert files_under(tmp_path / "dst") == []
 
     def test_nonfinite_loss_is_numeric_failure(self, tmp_path):
         src_cfg = write_cfg(tmp_path, "src.yaml", model={"K": 2})
@@ -380,6 +383,8 @@ class TestExitCodes:
              str(src / "checkpoint.ckpt")], 3)
         assert len(err) == 1 and err[0].startswith("numeric failure: ")
         assert "weight net" in err[0]
+        # a run that fails in training leaves no datasets behind
+        assert files_under(tmp_path / "dst") == []
 
     # the whole of an erm run, and the warmup epoch of a weighted one; an
     # erm run once more in this process, where a line trace sees it
@@ -592,6 +597,36 @@ class TestExitCodes:
                              "--checkpoint", str(path)])
         line = self.assert_io_failure(code, capsys, path, command)
         assert f"array {missing} is missing" in line
+        assert files_under(tmp_path / "c") + files_under(tmp_path / "dst") == []
+
+    @pytest.mark.parametrize("command", ["curves", "meta-test"])
+    @pytest.mark.parametrize("empty", ["heads", "hidden"])
+    def test_zero_size_weightnet(self, tmp_path, capsys, command, empty):
+        # a net with no head or no hidden unit is refused at load; neither
+        # command may index into it or weight with a constant
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "run"
+        cli.main(["train", "--config", str(cfg), "--out", str(out)])
+        arrays = read_arrays(out / "checkpoint.ckpt")
+        if empty == "heads":
+            arrays["wn_W2"], arrays["wn_b2"] = (arrays["wn_W2"][:, :0],
+                                                arrays["wn_b2"][:0])
+        else:
+            for name in ("wn_W1", "wn_b1"):
+                arrays[name] = arrays[name][..., :0]
+            arrays["wn_W2"] = arrays["wn_W2"][:0]
+        path = tmp_path / "empty.ckpt"
+        write_arrays(path, arrays)
+        capsys.readouterr()
+        if command == "curves":
+            code = cli.main(["curves", "--checkpoint", str(path),
+                             "--out", str(tmp_path / "c")])
+        else:
+            code = cli.main(["meta-test", "--config", str(cfg),
+                             "--out", str(tmp_path / "dst"),
+                             "--checkpoint", str(path)])
+        line = self.assert_io_failure(code, capsys, path, command)
+        assert "array wn_W2 has shape" in line
         assert files_under(tmp_path / "c") + files_under(tmp_path / "dst") == []
 
     def test_mwnet_alias_requires_k1(self, tmp_path):

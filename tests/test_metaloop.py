@@ -9,8 +9,9 @@ import pytest
 
 from cmwnet import metaloop, numkit
 from cmwnet.biasgen import inject_symmetric, make_gaussian_classes
-from cmwnet.config import (ConfigError, ExperimentConfig, build_test_dataset,
-                           build_train_dataset, config_from_dict)
+from cmwnet.config import (ConfigError, ExperimentConfig, TrainConfig,
+                           build_test_dataset, build_train_dataset,
+                           config_from_dict)
 from cmwnet.metaloop import (ALPHA_TE, BETA_WA, build_meta_set,
                              classifier_update, ema_update, erm_update,
                              hypergrad, meta_test, meta_train, meta_update,
@@ -262,7 +263,7 @@ class TestHypergrad:
         fams = rng.integers(0, 3, size=4)
         clf_hat, cache = virtual_step(clf, wnet, x, y, fams, 0.05, True)
         grad, _ = hypergrad(cache, clf_hat, x, onehot(y, 4))
-        meta_update(wnet, Adam(1e-2), grad)
+        meta_update(wnet, Adam(), grad, 1e-2)
         with pytest.raises(RuntimeError):
             hypergrad(cache, clf_hat, x, onehot(y, 4))
 
@@ -315,7 +316,7 @@ class TestFactoredStepOracle:
             wnet.flat += 0.3 * rng.normal(size=wnet.flat.size)
             step = g.T @ oracle_weights(wnet.weight(losses, fams), normalize)
             clf2 = Classifier(clf.sizes, clf.flat.copy())
-            classifier_update(clf2, SgdMomentum(alpha), wnet,
+            classifier_update(clf2, SgdMomentum(), wnet,
                               metaloop._factors(clf2, x, y, fams, normalize),
                               alpha)
             assert rel_err(clf.flat - clf2.flat,
@@ -364,7 +365,7 @@ class TestFactoredStepOracle:
 
             wnet.flat += 0.3 * rng.normal(size=wnet.flat.size)
             clf2 = Classifier(clf.sizes, clf.flat.copy())
-            classifier_update(clf2, SgdMomentum(alpha), wnet, cache.factors,
+            classifier_update(clf2, SgdMomentum(), wnet, cache.factors,
                               alpha)
             assert rel_err(clf.flat - clf2.flat,
                            alpha * step_at(wnet)) <= 1e-12
@@ -374,14 +375,14 @@ class TestMetaUpdate:
     def test_zero_grad_first_adam_step_no_move(self, rng):
         wnet = tiny_weightnet(rng)
         before = wnet.get_flat()
-        meta_update(wnet, Adam(1e-3), np.zeros(wnet.flat.size))
+        meta_update(wnet, Adam(), np.zeros(wnet.flat.size), 1e-3)
         np.testing.assert_array_equal(wnet.get_flat(), before)
 
     def test_plain_sgd_mode(self, rng):
         wnet = tiny_weightnet(rng)
         before = wnet.get_flat()
         grad = rng.normal(size=wnet.flat.size)
-        meta_update(wnet, SgdMomentum(0.01), grad)
+        meta_update(wnet, SgdMomentum(), grad, 0.01)
         np.testing.assert_allclose(wnet.get_flat(), before - 0.01 * grad,
                                    atol=1e-12)
 
@@ -389,16 +390,16 @@ class TestMetaUpdate:
         # repeated steps on f(theta) = ||theta - target||^2 reach the minimizer
         wnet = tiny_weightnet(rng)
         target = rng.normal(size=wnet.flat.size)
-        opt = Adam(0.05)
+        opt = Adam()
         for _ in range(2000):
-            meta_update(wnet, opt, 2.0 * (wnet.get_flat() - target))
+            meta_update(wnet, opt, 2.0 * (wnet.get_flat() - target), 0.05)
         assert np.abs(wnet.get_flat() - target).max() < 1e-3
 
     def test_nonfinite_grad_rejected(self, rng):
         wnet = tiny_weightnet(rng)
         grad = np.full(wnet.flat.size, np.nan)
         with pytest.raises(FloatingPointError):
-            meta_update(wnet, Adam(1e-3), grad)
+            meta_update(wnet, Adam(), grad, 1e-3)
 
 
 class TestClassifierUpdate:
@@ -409,7 +410,7 @@ class TestClassifierUpdate:
         fams = rng.integers(0, 3, size=5)
         clf_hat, _ = virtual_step(clf, wnet, x, y, fams, 0.1, True)
         clf2 = Classifier(clf.sizes, clf.flat.copy())
-        classifier_update(clf2, SgdMomentum(0.1), wnet,
+        classifier_update(clf2, SgdMomentum(), wnet,
                           metaloop._factors(clf2, x, y, fams, True), 0.1)
         np.testing.assert_allclose(clf2.flat, clf_hat.flat,
                                    atol=1e-12)
@@ -424,7 +425,7 @@ class TestClassifierUpdate:
         before = clf.flat.copy()
         x, y = random_batch(rng, 5, 3, 4)
         f = metaloop._factors(clf, x, y, rng.integers(0, 3, size=5), False)
-        classifier_update(clf, SgdMomentum(0.1), wnet, f, 0.1)
+        classifier_update(clf, SgdMomentum(), wnet, f, 0.1)
         np.testing.assert_allclose(clf.flat, before, atol=1e-12)
 
     def test_batch_loss_decreases_for_small_step(self, rng):
@@ -433,7 +434,7 @@ class TestClassifierUpdate:
         x, y = random_batch(rng, 8, 3, 4)
         fams = rng.integers(0, 3, size=8)
         before = float(clf.losses(x, y).mean())
-        classifier_update(clf, SgdMomentum(0.01), wnet,
+        classifier_update(clf, SgdMomentum(), wnet,
                           metaloop._factors(clf, x, y, fams, True), 0.01)
         after = float(clf.losses(x, y).mean())
         assert after < before
@@ -686,7 +687,7 @@ class TestSoftLabelStep:
         clf_hat, cache = sl_virtual_step(clf, wnet, x, y, z, y[perm], z[perm],
                                          fams, fams[perm], 0.6, 0.05)
         clf2 = Classifier(clf.sizes, clf.flat.copy())
-        classifier_update(clf2, SgdMomentum(0.05), wnet, cache.factors, 0.05)
+        classifier_update(clf2, SgdMomentum(), wnet, cache.factors, 0.05)
         np.testing.assert_allclose(clf2.flat, clf_hat.flat,
                                    atol=1e-12)
 
@@ -1050,32 +1051,50 @@ class TestMetaTest:
 
 class TestSchedule:
     def test_piecewise_milestones(self):
-        # the rate drops tenfold at 60% and again at 80% of the epochs
-        sched = {"kind": "piecewise"}
-        assert metaloop._schedule_lr(sched, 1.0, 59, 0, 100) == 1.0
-        assert metaloop._schedule_lr(sched, 1.0, 60, 0, 100) == 0.1
-        assert metaloop._schedule_lr(sched, 1.0, 79, 0, 100) == 0.1
-        assert abs(metaloop._schedule_lr(sched, 1.0, 80, 0, 100) - 0.01) < 1e-12
+        # the classifier's rate drops tenfold at 60% and again at 80% of the
+        # epochs; Theta's stays fixed
+        tc = TrainConfig(lr=1.0, theta_lr=0.005, epochs=100,
+                         schedule={"kind": "piecewise"})
+        assert metaloop._rates(tc, 59, 0) == (1.0, 0.005)
+        assert metaloop._rates(tc, 60, 0) == (0.1, 0.005)
+        assert metaloop._rates(tc, 79, 0) == (0.1, 0.005)
+        alpha, theta_lr = metaloop._rates(tc, 80, 0)
+        assert abs(alpha - 0.01) < 1e-12 and theta_lr == 0.005
 
     def test_decay_preset(self):
-        sched = {"kind": "decay"}
-        assert metaloop._schedule_lr(sched, 0.1, 0, 1, 10) == 0.1
-        assert abs(metaloop._schedule_lr(sched, 0.1, 0, 100, 10) - 0.01) < 1e-12
+        tc = TrainConfig(lr=0.1, epochs=10, schedule={"kind": "decay"})
+        assert metaloop._rates(tc, 0, 1)[0] == 0.1
+        assert abs(metaloop._rates(tc, 0, 100)[0] - 0.01) < 1e-12
 
-    def test_decay_theta_rate_follows_theta_lr(self):
-        sched = {"kind": "decay"}
-        assert abs(metaloop._schedule_lr(sched, 0.005, 0, 100, 10)
-                   - 0.0005) < 1e-15
+    def test_decay_theta_rate_follows_theta_lr(self, monkeypatch):
+        tc = TrainConfig(theta_lr=0.005, epochs=10, schedule={"kind": "decay"})
+        assert abs(metaloop._rates(tc, 0, 100)[1] - 0.0005) < 1e-15
         cfg = desk_cfg(epochs=2, warmup_epochs=0, theta_lr=0.005)
-        cfg.train.schedule = sched
-        st = meta_train(build_train_dataset(cfg), cfg, seed=0)
-        # the last meta step ran at iteration t - 1
-        assert st.theta_opt.lr == pytest.approx(0.005 / np.sqrt(st.t - 1),
-                                                rel=1e-15)
+        cfg.train.schedule = {"kind": "decay"}
+        rates, real = [], metaloop.meta_update
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            metaloop._schedule_lr({"kind": "cosine"}, 0.1, 0, 0, 10)
+        def spy(wnet, optimizer, grad, lr):
+            rates.append(lr)
+            real(wnet, optimizer, grad, lr)
+        monkeypatch.setattr(metaloop, "meta_update", spy)
+        st = meta_train(build_train_dataset(cfg), cfg, seed=0)
+        # every iteration takes a meta step; the last ran at iteration t - 1
+        assert len(rates) == st.t
+        assert rates[-1] == pytest.approx(0.005 / np.sqrt(st.t - 1),
+                                          rel=1e-15)
+
+    def test_unknown_kind(self, monkeypatch):
+        # meta_train checks the config before it takes its first step
+        cfg = desk_cfg(epochs=1)
+        ds = build_train_dataset(cfg)
+        cfg.train.schedule = {"kind": "cosine"}
+        steps = []
+        for name in ("erm_update", "classifier_update"):
+            monkeypatch.setattr(metaloop, name,
+                                lambda *args: steps.append(args))
+        with pytest.raises(ConfigError, match="schedule"):
+            meta_train(ds, cfg, seed=0)
+        assert steps == []
 
 
 class TestErmUpdate:
@@ -1085,5 +1104,5 @@ class TestErmUpdate:
         _, grads = clf.mean_grad(x, y)
         expected = clf.flat - 0.2 * grads
         clf2 = Classifier(clf.sizes, clf.flat.copy())
-        erm_update(clf2, SgdMomentum(0.2), x, y, 0.2)
+        erm_update(clf2, SgdMomentum(), x, y, 0.2)
         np.testing.assert_allclose(clf2.flat, expected, atol=1e-12)

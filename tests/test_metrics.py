@@ -17,7 +17,7 @@ from conftest import tiny_weightnet
 def fitted_classifier(ds, rng, steps=300):
     from cmwnet.numkit import SgdMomentum
     clf = Classifier.init([ds.d, 16, ds.C], rng)
-    opt = SgdMomentum(0.3)
+    opt = SgdMomentum()
     from cmwnet.metaloop import erm_update
     for _ in range(steps):
         erm_update(clf, opt, ds.features, ds.clean_labels, 0.3)

@@ -34,10 +34,10 @@ class TestClassifierForward:
                             rng.normal(size=(20, 2)) - 4])
         y = np.array([0] * 20 + [1] * 20)
         clf = Classifier.init([2, 2], rng)
-        opt = numkit.SgdMomentum(lr=0.5)
+        opt = numkit.SgdMomentum()
         for _ in range(200):
             _, grads = clf.mean_grad(x, y)
-            opt.step(clf.flat, grads)
+            opt.step(clf.flat, grads, 0.5)
         pred = np.argmax(clf.forward(x), axis=1)
         assert np.array_equal(pred, y)
 
@@ -367,11 +367,11 @@ class TestOneParameterVector:
         clf = tiny_classifier(rng)
         before = [a.copy() for a in clf.weights + clf.biases]
         g = rng.normal(size=clf.flat.size)
-        numkit.SgdMomentum(0.1).step(clf.flat, g)
+        numkit.SgdMomentum().step(clf.flat, g, 0.1)
         after = numkit.flatten(clf.weights + clf.biases)
         assert np.array_equal(after, numkit.flatten(before) - 0.1 * g)
         wn = tiny_weightnet(rng)
-        numkit.Adam(0.1).step(wn.flat, np.ones(wn.flat.size))
+        numkit.Adam().step(wn.flat, np.ones(wn.flat.size), 0.1)
         assert np.all(wn.b2 < 0.0)
 
     def test_copies_share_no_memory(self, rng, tmp_path):
@@ -669,6 +669,17 @@ class TestCheckpoint:
                 np.testing.assert_array_equal(ck.weightnet.get_flat(),
                                               wn.get_flat())
             np.testing.assert_array_equal(ck.centers, centers)
+
+    @pytest.mark.parametrize("H, K", [(4, 0), (0, 3)])
+    def test_zero_size_weightnet_rejected(self, rng, tmp_path, H, K):
+        # the floors of model.H and model.K: a net with no head or no
+        # hidden unit is corrupt
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, tiny_classifier(rng),
+                        WeightNet(H, K, np.zeros((2 + K) * H + K)))
+        with pytest.raises(numkit.CorruptArtifact,
+                           match=rf"array wn_W2 has shape \({H}, {K}\)"):
+            load_checkpoint(path)
 
     def test_checkpoint_without_weightnet(self, rng, tmp_path):
         clf = tiny_classifier(rng)

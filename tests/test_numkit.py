@@ -235,52 +235,52 @@ class TestFusedSoftmaxOracle:
 
 class TestOptimizers:
     def test_plain_sgd(self):
-        opt = numkit.SgdMomentum(lr=0.1)
+        opt = numkit.SgdMomentum()
         p = np.array([1.0])
-        opt.step(p, np.array([2.0]))
+        opt.step(p, np.array([2.0]), 0.1)
         np.testing.assert_allclose(p, [0.8])
 
     def test_zero_grad_no_change(self):
-        for opt in (numkit.SgdMomentum(0.1), numkit.Adam(0.1)):
+        for opt in (numkit.SgdMomentum(), numkit.Adam()):
             p = np.array([1.5, -2.0])
-            opt.step(p, np.zeros(2))
+            opt.step(p, np.zeros(2), 0.1)
             np.testing.assert_allclose(p, [1.5, -2.0])
 
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step moves each coordinate by ~lr
-        opt = numkit.Adam(lr=0.01)
+        opt = numkit.Adam()
         p = np.array([5.0])
-        opt.step(p, np.array([3.7]))
+        opt.step(p, np.array([3.7]), 0.01)
         assert abs((5.0 - p[0]) - 0.01) < 1e-5
         assert opt.step_count == 1
 
     def test_momentum_accumulates(self):
-        opt = numkit.SgdMomentum(lr=1.0, momentum=0.5)
+        opt = numkit.SgdMomentum(momentum=0.5)
         p = np.array([0.0])
-        opt.step(p, np.array([1.0]))   # buffer 1, p=-1
-        opt.step(p, np.array([1.0]))   # buffer 1.5, p=-2.5
+        opt.step(p, np.array([1.0]), 1.0)   # buffer 1, p=-1
+        opt.step(p, np.array([1.0]), 1.0)   # buffer 1.5, p=-2.5
         np.testing.assert_allclose(p, [-2.5])
 
     def test_weight_decay_adds_to_grad(self):
-        opt = numkit.SgdMomentum(lr=0.1, weight_decay=0.5)
+        opt = numkit.SgdMomentum(weight_decay=0.5)
         p = np.array([2.0])
-        opt.step(p, np.array([0.0]))
+        opt.step(p, np.array([0.0]), 0.1)
         np.testing.assert_allclose(p, [2.0 - 0.1 * 0.5 * 2.0])
 
     def test_deterministic(self, rng):
         g = rng.normal(size=9)
         results = []
         for _ in range(2):
-            opt = numkit.Adam(lr=0.05)
+            opt = numkit.Adam()
             p = np.ones(9)
             for _ in range(5):
-                opt.step(p, g.copy())
+                opt.step(p, g.copy(), 0.05)
             results.append(p)
         np.testing.assert_array_equal(results[0], results[1])
 
     @pytest.mark.parametrize("make", [
-        lambda: numkit.SgdMomentum(0.1, momentum=0.9, weight_decay=0.01),
-        lambda: numkit.Adam(0.05, weight_decay=0.01)])
+        lambda: numkit.SgdMomentum(momentum=0.9, weight_decay=0.01),
+        lambda: numkit.Adam(weight_decay=0.01)])
     def test_one_vector_step_matches_per_array_steps(self, rng, make):
         # every update is elementwise, so stepping the concatenation is
         # bit-identical to stepping each array on its own
@@ -289,9 +289,9 @@ class TestOptimizers:
         flat, opt = numkit.flatten(arrays), make()
         parts = [(a.copy(), make()) for a in arrays]
         for gs in grads:
-            opt.step(flat, numkit.flatten(gs))
+            opt.step(flat, numkit.flatten(gs), 0.1)
             for (p, o), g in zip(parts, gs):
-                o.step(p, g)
+                o.step(p, g, 0.1)
         assert np.array_equal(flat, numkit.flatten([p for p, _ in parts]))
 
     @pytest.mark.parametrize("wd", [0.0, 5e-4])
@@ -300,21 +300,34 @@ class TestOptimizers:
         # writes the gradient it is given
         p = rng.normal(size=50)
         want, buf = p.copy(), np.zeros(50)
-        opt = numkit.SgdMomentum(0.1, momentum=0.9, weight_decay=wd)
+        opt = numkit.SgdMomentum(momentum=0.9, weight_decay=wd)
         for _ in range(4):
             g = rng.normal(size=50)
             g_in = g.copy()
-            opt.step(p, g)
+            opt.step(p, g, 0.1)
             buf = 0.9 * buf + (g + wd * want if wd else g)
             want = want - 0.1 * buf
             assert np.array_equal(p, want)
             assert np.array_equal(g, g_in)
 
+    def test_sgd_rate_is_per_step(self, rng):
+        # one optimizer at two rates: each step scales the buffer, which
+        # carries over from the step before, by its own rate
+        p = rng.normal(size=20)
+        want, buf = p.copy(), np.zeros(20)
+        opt = numkit.SgdMomentum(momentum=0.9)
+        for lr in (0.1, 0.01, 0.01, 0.1):
+            g = rng.normal(size=20)
+            opt.step(p, g, lr)
+            buf = 0.9 * buf + g
+            want = want - lr * buf
+            assert np.array_equal(p, want)
+
     def test_adam_leaves_gradient_unwritten(self, rng):
         # training logs the hypergradient's norm after its Adam step
         p, g = rng.normal(size=20), rng.normal(size=20)
         g_in = g.copy()
-        numkit.Adam(0.05, weight_decay=0.01).step(p, g)
+        numkit.Adam(weight_decay=0.01).step(p, g, 0.05)
         assert np.array_equal(g, g_in)
 
     @pytest.mark.parametrize("wd", [0.0, 5e-4])
@@ -323,20 +336,20 @@ class TestOptimizers:
         # lr * buffer; fresh arrays for wd * p, the sum and lr * buffer
         # hold two at once
         p, g = rng.normal(size=100_000), rng.normal(size=100_000)
-        opt = numkit.SgdMomentum(0.1, momentum=0.9, weight_decay=wd)
-        opt.step(p, g)                  # allocates the momentum buffer
+        opt = numkit.SgdMomentum(momentum=0.9, weight_decay=wd)
+        opt.step(p, g, 0.1)             # allocates the momentum buffer
         tracemalloc.start()
         try:
-            opt.step(p, g)
+            opt.step(p, g, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= p.nbytes + 4096
 
     def test_shape_mismatch_raises(self):
-        for opt in (numkit.SgdMomentum(0.1), numkit.Adam(0.1)):
+        for opt in (numkit.SgdMomentum(), numkit.Adam()):
             with pytest.raises(ValueError, match="shape mismatch"):
-                opt.step(np.zeros(3), np.zeros(2))
+                opt.step(np.zeros(3), np.zeros(2), 0.1)
 
 
 class TestFiniteDiff:
